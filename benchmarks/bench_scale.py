@@ -1,36 +1,25 @@
-"""Columnar event store + sharded state engine at forum scale.
+"""Columnar event store at forum scale.
 
-Three measurements, recorded together in ``BENCH_scale.json``:
+Two measurements, recorded together in ``BENCH_scale.json``:
 
 * **Scale smoke** (fast lane, run by CI on every push) — streams a 10k
-  user synthetic forum straight into 2-shard columnar logs, asserting a
-  peak-RSS ceiling, and pins the sharded router's bit-identity against
-  the single-shard path on the bench forum.
+  user synthetic forum straight into one columnar answer log plus the
+  question store, asserting a peak-RSS ceiling.
 * **Million-user stream** (``@slow``) — generates a >= 1M user /
   multi-million post forum through the chunked streaming generator into
   columnar segments, never materializing Python post objects; records
   posts/sec, columnar footprint, and the peak RSS high-water mark.
-* **Throughput vs shards** (``@slow``) — routes a question batch at
-  shard counts 1/2/4/8 in process mode and records the curve.  Real
-  multi-process speedup needs real cores: the speedup assertion is
-  conditional on ``os.cpu_count()``, and the recorded numbers carry the
-  host's CPU count in the shared meta header so single-core results are
-  read as what they are.
 """
 
-import os
 import time
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from _meta import record_bench
 from repro import perf
-from repro.core import ForumPredictor
-from repro.core.sharding import ShardedRouter
 from repro.forum import ForumConfig
-from repro.forum.streaming import ingest_to_shards
+from repro.forum.streaming import ingest_stream
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_scale.json"
 
@@ -50,58 +39,28 @@ MILLION_CONFIG = ForumConfig(
 )
 MILLION_RSS_CEILING = 8 * 1024**3
 
-SHARD_COUNTS = (1, 2, 4, 8)
 
+def test_scale_smoke(benchmark):
+    """CI gate: bounded-memory streamed ingest into one answer log."""
 
-def _results_identical(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    return (
-        a.question_id == b.question_id
-        and np.array_equal(a.users, b.users)
-        and np.array_equal(a.probabilities, b.probabilities)
-        and np.array_equal(a.scores, b.scores)
+    def ingest():
+        with perf.use_registry() as registry:
+            start = time.perf_counter()
+            result = ingest_stream(
+                SMOKE_CONFIG, seed=0, chunk_questions=2_000
+            )
+            seconds = time.perf_counter() - start
+        return result, seconds, registry
+
+    (log, questions, report), ingest_seconds, registry = (
+        benchmark.pedantic(ingest, rounds=1, iterations=1)
     )
-
-
-def _routing_fixture(dataset, config):
-    """Fitted predictor + query threads + candidate universe."""
-    threads = sorted(dataset, key=lambda t: t.created_at)
-    split = threads[int(len(threads) * 0.9)].created_at
-    history = dataset.threads_in_window(0.0, split)
-    queries = [t for t in threads if t.created_at >= split][:20]
-    predictor = ForumPredictor(config).fit(history)
-    candidates = np.array(sorted(history.answerers), dtype=np.int64)
-    return predictor, queries, candidates
-
-
-def test_scale_smoke(benchmark, dataset, config):
-    """CI gate: bounded-memory streamed ingest + shard bit-identity."""
-    with perf.use_registry() as registry:
-        start = time.perf_counter()
-        logs, questions, report = ingest_to_shards(
-            SMOKE_CONFIG, seed=0, n_shards=2, chunk_questions=2_000
-        )
-        ingest_seconds = time.perf_counter() - start
     posts = report.n_questions + report.n_answers
     assert report.n_questions == SMOKE_CONFIG.n_questions
-    assert sum(log.n_rows for log in logs) == report.n_answers
+    assert questions.n_rows == report.n_questions
+    assert log.n_rows == report.n_answers
     assert report.peak_rss_bytes < SMOKE_RSS_CEILING
     assert registry.counter("scale.peak_rss_bytes") == report.peak_rss_bytes
-
-    predictor, queries, candidates = _routing_fixture(dataset, config)
-    single = ShardedRouter(predictor, 1, epsilon=0.3, default_capacity=3.0)
-    expected = single.route_batch(queries, candidates, tradeoff=0.1)
-
-    def routed():
-        sharded = ShardedRouter(
-            predictor, 2, epsilon=0.3, default_capacity=3.0
-        )
-        return sharded.route_batch(queries, candidates, tradeoff=0.1)
-
-    got = benchmark.pedantic(routed, rounds=1, iterations=1)
-    identical = all(_results_identical(a, b) for a, b in zip(expected, got))
-    assert identical, "2-shard routing diverged from single-shard"
 
     payload = {
         "forum": {
@@ -110,23 +69,18 @@ def test_scale_smoke(benchmark, dataset, config):
         },
         "n_posts": posts,
         "n_answers": report.n_answers,
-        "n_shards": 2,
-        "answers_per_shard": report.answers_per_shard,
         "ingest_seconds": round(ingest_seconds, 4),
         "posts_per_second": round(posts / ingest_seconds),
         "question_bytes": report.question_bytes,
         "answer_bytes": report.answer_bytes,
         "peak_rss_bytes": report.peak_rss_bytes,
         "rss_ceiling_bytes": SMOKE_RSS_CEILING,
-        "shard_routing_bit_identical": identical,
-        "questions_routed": len(queries),
     }
     record_bench(RESULT_PATH, "smoke", payload)
     print(
         f"\nScale smoke: {posts} posts streamed in {ingest_seconds:.2f}s "
         f"({posts / ingest_seconds:.0f}/s), peak RSS "
-        f"{report.peak_rss_bytes / 1024**2:.0f} MB, "
-        f"2-shard routing identical: {identical}"
+        f"{report.peak_rss_bytes / 1024**2:.0f} MB"
     )
 
 
@@ -135,8 +89,8 @@ def test_million_user_stream():
     """>= 1M users / multi-million posts generated in bounded memory."""
     with perf.use_registry():
         start = time.perf_counter()
-        logs, questions, report = ingest_to_shards(
-            MILLION_CONFIG, seed=0, n_shards=4, chunk_questions=100_000
+        _, _, report = ingest_stream(
+            MILLION_CONFIG, seed=0, chunk_questions=100_000
         )
         ingest_seconds = time.perf_counter() - start
     posts = report.n_questions + report.n_answers
@@ -153,8 +107,6 @@ def test_million_user_stream():
         "n_answers": report.n_answers,
         "n_active_users": report.n_active_users,
         "n_chunks": report.n_chunks,
-        "n_shards": 4,
-        "answers_per_shard": report.answers_per_shard,
         "ingest_seconds": round(ingest_seconds, 2),
         "posts_per_second": round(posts / ingest_seconds),
         "question_bytes": report.question_bytes,
@@ -172,62 +124,3 @@ def test_million_user_stream():
         f"{report.peak_rss_bytes / 1024**3:.2f} GB, columnar store "
         f"{(report.question_bytes + report.answer_bytes) / 1024**2:.0f} MB"
     )
-
-
-@pytest.mark.slow
-def test_throughput_vs_shards(dataset, config):
-    """Routing throughput at 1/2/4/8 shards, process mode.
-
-    On a multi-core host the curve must rise monotonically with >= 2.5x
-    at 4 shards; on fewer cores the numbers are recorded (with the CPU
-    count in the meta header) but only bit-identity is asserted —
-    worker processes cannot beat a single core they all share.
-    """
-    predictor, queries, candidates = _routing_fixture(dataset, config)
-    baseline = None
-    curve = {}
-    cores = os.cpu_count() or 1
-    for n_shards in SHARD_COUNTS:
-        with ShardedRouter(
-            predictor,
-            n_shards,
-            epsilon=0.3,
-            default_capacity=3.0,
-            mode="process",
-        ) as router:
-            router.route_batch(queries[:2], candidates, tradeoff=0.1)  # warm
-            start = time.perf_counter()
-            results = router.route_batch(queries, candidates, tradeoff=0.1)
-            seconds = time.perf_counter() - start
-        if baseline is None:
-            baseline = results
-        else:
-            assert all(
-                _results_identical(a, b) for a, b in zip(baseline, results)
-            ), f"{n_shards}-shard routing diverged"
-        curve[str(n_shards)] = {
-            "seconds": round(seconds, 4),
-            "questions_per_second": round(len(queries) / seconds, 2),
-        }
-    speedup_at_4 = (
-        curve["1"]["seconds"] / curve["4"]["seconds"]
-        if "4" in curve
-        else None
-    )
-    payload = {
-        "mode": "process",
-        "n_questions": len(queries),
-        "n_candidates": int(candidates.size),
-        "cpu_count": cores,
-        "curve": curve,
-        "speedup_at_4_shards": round(speedup_at_4, 2),
-        "speedup_asserted": cores >= 4,
-    }
-    record_bench(RESULT_PATH, "throughput_vs_shards", payload)
-    print(f"\nThroughput vs shards ({cores} cores): {curve}")
-    if cores >= 4:
-        qps = [curve[str(s)]["questions_per_second"] for s in SHARD_COUNTS]
-        assert all(b >= a for a, b in zip(qps, qps[1:])), (
-            "throughput must rise monotonically with shard count"
-        )
-        assert speedup_at_4 >= 2.5

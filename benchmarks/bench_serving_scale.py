@@ -1,25 +1,13 @@
-"""Sharded zero-copy serving at forum scale: throughput, latency, RSS.
+"""Single-process serving at forum scale: throughput, latency, RSS.
 
-Three measurements, recorded together in ``BENCH_serving_scale.json``:
+One measurement, recorded in ``BENCH_serving_scale.json``:
 
-* **Serving smoke** (fast lane, run by CI on every push) — warms the
-  bench forum twice, once single-process and once with two persistent
-  shard workers on shared-memory state, drives the same seeded traffic
-  through both and asserts response-for-response bit-identity plus a
-  virtual-axis p99 ceiling, with a clean teardown (no orphan workers,
-  no ``/dev/shm`` leftovers).
-* **State-publication cost** (fast lane) — the refit hot path: rebinds
-  a 2-shard process router repeatedly over both transports and records
-  seconds per epoch swap.  Shared memory publishes each array once and
-  ships only a manifest; the pickle baseline re-serializes the sliced
-  tables into every worker.  The shm-cheaper assertion is gated on
-  ``cpu_count >= 4`` (single-core CI still records honest numbers).
 * **Serving at 100k users** (``@slow``) — streams a 100k-user forum
   into columnar stores, freezes it into a servable state without ever
   materializing post objects, grafts fitted model heads on top, and
-  serves seeded traffic through the async front-end at 1/2/4 shard
-  workers: throughput-vs-shards curve, p50/p95/p99 virtual latency,
-  and the peak-RSS high-water mark (parent and largest worker).
+  serves seeded traffic through the async front-end: wall-clock
+  throughput, p50/p95/p99 latency on the virtual clock (queueing and
+  batching waits only, no compute), and the peak-RSS high-water mark.
 """
 
 import os
@@ -42,11 +30,9 @@ from repro.core.serving import (
     ServingCore,
     run_load,
 )
-from repro.core.sharding import ShardedRouter
-from repro.core.shm import active_shm_names
 from repro.core.state import frozen_from_columns
 from repro.forum import ForumConfig, ForumDataset
-from repro.forum.streaming import ingest_to_shards
+from repro.forum.streaming import ingest_stream
 from repro.forum.traffic import TrafficConfig, generate_traffic
 
 RESULT_PATH = (
@@ -60,14 +46,10 @@ ONLINE_CONFIG = OnlineConfig(
     warmup_hours=168.0,
     epsilon=0.25,
 )
-# Virtual-axis ceiling for the sharded fast-lane smoke; matches the
-# single-process bench_serving budget — sharding must not queue.
-P99_CEILING_MS = 5000.0
 
 SCALE_FORUM = ForumConfig(
     n_users=100_000, n_questions=120_000, activity_tail=1.3
 )
-SCALE_SHARDS = (1, 2, 4)
 SCALE_ROSTER = 1500  # most-active answerers serving as the on-call set
 SCALE_HEADS = PredictorConfig(
     n_topics=SCALE_FORUM.n_topics,
@@ -75,142 +57,6 @@ SCALE_HEADS = PredictorConfig(
     timing_epochs=30,
     betweenness_sample_size=100,
 )
-
-
-def make_core(dataset, **overrides) -> ServingCore:
-    core = ServingCore(
-        PredictorConfig(betweenness_sample_size=200),
-        replace(ONLINE_CONFIG, **overrides),
-    )
-    RecommendationService(core).warm(dataset)
-    assert core.warmed
-    return core
-
-
-def run_traffic(core, requests):
-    service = RecommendationService(
-        core,
-        ServiceConfig(
-            batch=BatchPolicy(max_batch=8, max_wait_s=0.01), cost=None
-        ),
-    )
-    return service, run_load(service, requests, settle_s=1.0)
-
-
-def assert_identical(expected, got):
-    assert len(expected) == len(got)
-    for a, b in zip(expected, got):
-        assert a.status == b.status
-        assert getattr(a, "ranked", None) == getattr(b, "ranked", None)
-        assert getattr(a, "routed", None) == getattr(b, "routed", None)
-        assert getattr(a, "score", None) == getattr(b, "score", None)
-
-
-def test_sharded_serving_smoke(dataset):
-    """CI gate: 2 shard workers == single process, bounded tail latency."""
-    traffic = generate_traffic(
-        dataset,
-        TrafficConfig(n_askers=60, n_events=10, duration_s=10.0, seed=SEED),
-    )
-    base = make_core(dataset)
-    _, expected = run_traffic(base, traffic)
-
-    core = make_core(dataset, serving_shards=2, shard_mode="process")
-    try:
-        service, got = run_traffic(core, traffic)
-        assert_identical(expected.responses, got.responses)
-        latency = got.metrics["query_latency"]
-        assert latency["p99_ms"] < P99_CEILING_MS
-        sharding = got.metrics["sharding"]
-        assert sharding["transport"] == "shm"
-        assert sharding["scatters"] > 0
-        shm_mb = sharding["shm_bytes_published"] / 1024**2
-    finally:
-        core.close()
-    assert active_shm_names() == []
-
-    record_bench(
-        RESULT_PATH,
-        "smoke",
-        {
-            "n_queries": sum(1 for r in traffic if r.kind == "query"),
-            "n_shards": 2,
-            "mode": "process",
-            "transport": "shm",
-            "bit_identical": True,
-            "query_latency": latency,
-            "scatters": sharding["scatters"],
-            "shm_mb_published": round(shm_mb, 3),
-            "p99_ceiling_ms": P99_CEILING_MS,
-        },
-        seed=SEED,
-    )
-
-
-PUBLICATION_FORUM = ForumConfig(
-    n_users=30_000, n_questions=40_000, activity_tail=1.3
-)
-
-
-def test_state_publication_cost(dataset):
-    """Per-refit state shipping: shm publish+swap vs pickle re-send.
-
-    Measured on a streamed 30k-user state, not the toy bench forum —
-    zero-copy pays per byte of tables, and on kilobyte-sized state the
-    fixed cost of creating and mapping blocks dominates.  At tens of
-    MB the pickle baseline serializes and deserializes the tables per
-    worker while shm copies each array exactly once.
-    """
-    with perf.use_registry():
-        logs, questions, _ = ingest_to_shards(
-            PUBLICATION_FORUM, seed=0, n_shards=1, chunk_questions=10_000
-        )
-    frozen = frozen_from_columns(logs[0], questions)
-    predictor = _graft_predictor(frozen, dataset)
-    cores = os.cpu_count() or 1
-    rounds = 3
-    cost = {}
-    state_mb = 0.0
-    for transport in ("shm", "pickle"):
-        with ShardedRouter(
-            predictor, 2, mode="process", transport=transport
-        ) as router:
-            seconds = []
-            for _ in range(rounds):
-                start = time.perf_counter()
-                router.rebind(predictor)
-                seconds.append(time.perf_counter() - start)
-            if transport == "shm":
-                state_mb = router.shm_bytes / 1024**2
-        cost[transport] = {
-            "rebinds": rounds,
-            "min_s": round(min(seconds), 4),
-            "mean_s": round(sum(seconds) / rounds, 4),
-        }
-    assert active_shm_names() == []
-    speedup = cost["pickle"]["min_s"] / max(cost["shm"]["min_s"], 1e-9)
-    record_bench(
-        RESULT_PATH,
-        "publication_cost",
-        {
-            "forum": {
-                "n_users": PUBLICATION_FORUM.n_users,
-                "n_questions": PUBLICATION_FORUM.n_questions,
-            },
-            "n_shards": 2,
-            "cpu_count": cores,
-            "state_mb_per_epoch": round(state_mb, 2),
-            "per_transport": cost,
-            "shm_speedup_over_pickle": round(speedup, 2),
-            "speedup_asserted": cores >= 4,
-        },
-        seed=SEED,
-    )
-    print(f"\nState publication ({cores} cores): {cost}")
-    if cores >= 4:
-        assert cost["shm"]["min_s"] < cost["pickle"]["min_s"], (
-            "shared-memory publication must beat pickle transport"
-        )
 
 
 def _graft_predictor(frozen, heads_dataset) -> ForumPredictor:
@@ -233,15 +79,14 @@ def _graft_predictor(frozen, heads_dataset) -> ForumPredictor:
 
 @pytest.mark.slow
 def test_serving_100k_users(dataset):
-    """Throughput-vs-shards on a streamed 100k-user forum."""
+    """Single-process serving on a streamed 100k-user forum."""
     with perf.use_registry():
         start = time.perf_counter()
-        logs, questions, report = ingest_to_shards(
-            SCALE_FORUM, seed=0, n_shards=1, chunk_questions=20_000
+        log, questions, report = ingest_stream(
+            SCALE_FORUM, seed=0, chunk_questions=20_000
         )
         ingest_s = time.perf_counter() - start
     assert report.n_users >= 100_000
-    log = logs[0]
     frozen = frozen_from_columns(log, questions)
     predictor = _graft_predictor(frozen, dataset)
 
@@ -257,45 +102,22 @@ def test_serving_100k_users(dataset):
             n_askers=200, n_events=40, duration_s=30.0, seed=SEED + 1
         ),
     )
-    baseline = None
-    curve = {}
+    core = ServingCore.from_artifacts(
+        predictor,
+        roster,
+        online_config=replace(ONLINE_CONFIG, warmup_hours=0.0),
+    )
+    service = RecommendationService(
+        core,
+        ServiceConfig(
+            batch=BatchPolicy(max_batch=8, max_wait_s=0.01), cost=None
+        ),
+    )
+    load = run_load(service, traffic, settle_s=1.0)
+    latency = load.metrics["query_latency"]
+    ok = load.query_statuses.get("ok", 0)
+    assert ok > 0
     cores = os.cpu_count() or 1
-    for n_shards in SCALE_SHARDS:
-        core = ServingCore.from_artifacts(
-            predictor,
-            roster,
-            online_config=replace(
-                ONLINE_CONFIG,
-                warmup_hours=0.0,
-                serving_shards=n_shards,
-                shard_mode="process",
-            ),
-        )
-        try:
-            service, load = run_traffic(core, traffic)
-            shm_mb = (
-                load.metrics["sharding"]["shm_bytes_published"] / 1024**2
-                if n_shards > 1
-                else 0.0
-            )
-        finally:
-            core.close()
-        assert active_shm_names() == []
-        if baseline is None:
-            baseline = load.responses
-        else:
-            assert_identical(baseline, load.responses)
-        latency = load.metrics["query_latency"]
-        curve[str(n_shards)] = {
-            "wall_s": round(load.wall_s, 3),
-            "requests_per_wall_s": round(load.requests_per_wall_s, 2),
-            "p50_ms": latency["p50_ms"],
-            "p95_ms": latency["p95_ms"],
-            "p99_ms": latency["p99_ms"],
-            "shm_mb_published": round(shm_mb, 2),
-            "ok": load.query_statuses.get("ok", 0),
-        }
-    assert curve["1"]["ok"] > 0
 
     payload = {
         "forum": {
@@ -307,17 +129,18 @@ def test_serving_100k_users(dataset):
         "roster_size": len(roster),
         "n_queries": sum(1 for r in traffic if r.kind == "query"),
         "cpu_count": cores,
-        "bit_identical_across_shards": True,
-        "curve": curve,
+        "wall_s": round(load.wall_s, 3),
+        "requests_per_wall_s": round(load.requests_per_wall_s, 2),
+        "virtual_latency_ms": {
+            "p50": latency["p50_ms"],
+            "p95": latency["p95_ms"],
+            "p99": latency["p99_ms"],
+        },
+        "ok": ok,
         "peak_rss_bytes": perf.peak_rss_bytes(),
-        "peak_child_rss_bytes": perf.peak_rss_bytes(include_children=True),
     }
-    record_bench(RESULT_PATH, "serving_100k", payload)
-    print(f"\nServing at 100k users ({cores} cores): {curve}")
-    if cores >= 4:
-        qps = [
-            curve[str(s)]["requests_per_wall_s"] for s in SCALE_SHARDS
-        ]
-        assert qps[-1] >= qps[0], (
-            "multi-core shard workers must not lose throughput"
-        )
+    record_bench(RESULT_PATH, "serving_100k", payload, seed=SEED)
+    print(
+        f"\nServing at 100k users ({cores} cores): "
+        f"{load.requests_per_wall_s:.1f} req/s over {load.wall_s:.2f}s wall"
+    )

@@ -11,7 +11,7 @@ Subcommands cover the library's end-to-end workflow:
 * ``serve``     — run a seeded concurrent load test against the async
   serving stack and print latency percentiles;
 * ``validate``  — check a dataset file for integrity violations;
-* ``scale``     — stream a large synthetic forum into sharded columnar logs;
+* ``scale``     — stream a large synthetic forum into columnar stores;
 * ``scenarios`` — run the scenario preset matrix (support desk, flash
   crowd, brigading, ...) through replay + serving and print per-regime
   accuracy deltas, latency percentiles and degradation counts.
@@ -172,15 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound on the query queue")
     serve.add_argument("--max-pending-events", type=int, default=4096,
                        help="admission bound on the event queue")
-    serve.add_argument("--shards", type=int, default=1,
-                       help="shard workers for candidate featurization "
-                       "(1 = single-process)")
-    serve.add_argument("--shard-mode", choices=("inline", "process"),
-                       default="process",
-                       help="run shards inline or on worker processes")
-    serve.add_argument("--transport", choices=("shm", "pickle"),
-                       default="shm",
-                       help="shard state transport (process mode)")
     serve.add_argument("--cache-pairs", type=int, default=0,
                        help="capacity of the refit-epoch prediction cache "
                        "in (user, thread) pairs; 0 disables")
@@ -190,14 +181,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     scale = sub.add_parser(
         "scale",
-        help="stream a synthetic forum into sharded columnar logs "
+        help="stream a synthetic forum into columnar stores "
         "(bounded memory; prints throughput and peak RSS)",
     )
     scale.add_argument("--users", type=int, default=100_000)
     scale.add_argument("--questions", type=int, default=150_000)
     scale.add_argument("--topics", type=int, default=8)
     scale.add_argument("--days", type=float, default=30.0)
-    scale.add_argument("--shards", type=int, default=4)
     scale.add_argument(
         "--chunk-questions",
         type=int,
@@ -461,12 +451,7 @@ def _cmd_serve(args) -> int:
     dataset = load_dataset(args.input)
     core = ServingCore(
         _config_from_args(args),
-        OnlineConfig(
-            serving_shards=args.shards,
-            shard_mode=args.shard_mode,
-            shard_transport=args.transport,
-            feature_cache_pairs=args.cache_pairs,
-        ),
+        OnlineConfig(feature_cache_pairs=args.cache_pairs),
     )
     service = RecommendationService(
         core,
@@ -497,9 +482,7 @@ def _cmd_serve(args) -> int:
             seed=args.seed,
         ),
     )
-    # close_core guarantees shard workers and shm blocks are released
-    # even when the load run raises.
-    report = run_load(service, traffic, close_core=True)
+    report = run_load(service, traffic)
     metrics = report.metrics
     print(
         f"load: {report.n_queries} queries + {report.n_events} events over "
@@ -529,14 +512,6 @@ def _cmd_serve(args) -> int:
             f"{cache['misses']} misses, {cache['evictions']} evictions "
             f"({cache['size']}/{cache['max_pairs']} pairs held)"
         )
-    if "sharding" in metrics:
-        sharding = metrics["sharding"]
-        print(
-            f"sharding: {sharding['n_shards']} shards "
-            f"({sharding['mode']}/{sharding['transport']}), "
-            f"epoch {sharding['epoch']}, {sharding['scatters']} scatters, "
-            f"{sharding['shm_bytes_published'] / 1024**2:.1f} MB published"
-        )
     statuses = ", ".join(
         f"{status}={count}"
         for status, count in sorted(report.query_statuses.items())
@@ -554,7 +529,7 @@ def _cmd_serve(args) -> int:
 def _cmd_scale(args) -> int:
     import time
 
-    from .forum.streaming import ingest_to_shards
+    from .forum.streaming import ingest_stream
 
     config = ForumConfig(
         n_users=args.users,
@@ -563,11 +538,8 @@ def _cmd_scale(args) -> int:
         duration_days=args.days,
     )
     start = time.perf_counter()
-    logs, questions, report = ingest_to_shards(
-        config,
-        seed=args.seed,
-        n_shards=args.shards,
-        chunk_questions=args.chunk_questions,
+    log, questions, report = ingest_stream(
+        config, seed=args.seed, chunk_questions=args.chunk_questions
     )
     seconds = time.perf_counter() - start
     posts = report.n_questions + report.n_answers
@@ -579,11 +551,8 @@ def _cmd_scale(args) -> int:
     print(
         f"columnar store: {questions.n_rows} question rows "
         f"({report.question_bytes / 1024**2:.1f} MB), "
-        f"{sum(log.n_rows for log in logs)} answer rows across "
-        f"{args.shards} shards ({report.answer_bytes / 1024**2:.1f} MB)"
+        f"{log.n_rows} answer rows ({report.answer_bytes / 1024**2:.1f} MB)"
     )
-    for shard, count in enumerate(report.answers_per_shard):
-        print(f"  shard {shard}: {count} answers")
     print(
         f"{report.n_chunks} chunks of <= {args.chunk_questions} questions; "
         f"peak RSS {report.peak_rss_bytes / 1024**2:.0f} MB"

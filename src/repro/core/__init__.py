@@ -71,7 +71,6 @@ from .serving import (
     VirtualClock,
     run_load,
 )
-from .sharding import ShardedRouter, ShardPlan
 from .state import ForumState, FrozenState
 from .timing_model import TimingModel
 from .tradeoff import (
@@ -158,8 +157,6 @@ __all__ = [
     "SubmitResult",
     "VirtualClock",
     "run_load",
-    "ShardedRouter",
-    "ShardPlan",
     "ForumState",
     "FrozenState",
     "TimingModel",

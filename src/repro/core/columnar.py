@@ -13,13 +13,12 @@ data — one row per answer event — as contiguous numpy columns instead:
 * :class:`AnswerLog` — the answer-event schema used by
   :class:`~repro.core.state.ForumState`: ``int32`` ids, ``float32``
   votes, ``float64`` times, per-row question/answer topic mixtures.
-  The scale path (streaming generator, sharded state engine) uses the
-  same log with ``float32`` topics.
+  The scale path (streaming generator and ingest) uses the same log
+  with ``float32`` topics.
 * The per-user freeze artifacts (:class:`UserHistory`,
   :class:`UserSummary`, :class:`BatchTables`) and the functions that
-  build them (:func:`user_summary`, :func:`assemble_tables`) live here
-  so the single-process state engine and the shard workers assemble
-  byte-identical tables from the same code.
+  build them (:func:`user_summary`, :func:`assemble_tables`) live here,
+  next to the log they read.
 
 Dtype policy is :mod:`repro.core.dtypes`: ids are ``int32`` (guarded by
 ``ensure_ids``), votes are ``float32`` (small integers — exact), and
@@ -207,64 +206,6 @@ class EventStore:
         if len(self._segments) == 1:
             return self._segments[0][name][rows]
         return self.column(name)[rows]
-
-    # -- shared-memory publication ------------------------------------------
-
-    def to_shm(self, tag: str = "events"):
-        """Publish every segment into one named shared-memory block.
-
-        Returns ``(shm_handle, descriptor)``: the handle owns the block
-        (keep it referenced, retire it with :func:`repro.core.shm.unlink`)
-        and the picklable descriptor is everything :meth:`from_shm`
-        needs to map the store zero-copy in another process.  Whole
-        segment buffers are published (not trimmed to the fill point),
-        so segment geometry survives the round trip exactly.
-        """
-        from .shm import publish
-
-        arrays = {
-            f"{name}@{si}": seg[name]
-            for si, seg in enumerate(self._segments)
-            for name in self._schema
-        }
-        shm_handle, manifest = publish(arrays, tag)
-        descriptor = {
-            "schema": {
-                name: (dtype.str, width)
-                for name, (dtype, width) in self._schema.items()
-            },
-            "segment_rows": self._segment_rows,
-            "n": self._n,
-            "n_segments": len(self._segments),
-            "manifest": manifest,
-        }
-        return shm_handle, descriptor
-
-    @classmethod
-    def from_shm(cls, descriptor):
-        """Map a published store; returns ``(store, shm_handle)``.
-
-        Segments are read-only zero-copy views into the shared block —
-        attachers must not mutate (or append into) published rows.  The
-        handle must outlive the store; close it (never unlink) after
-        dropping the store.
-        """
-        from .shm import attach
-
-        schema = {
-            name: (np.dtype(d), width) if width else np.dtype(d)
-            for name, (d, width) in descriptor["schema"].items()
-        }
-        store = cls(schema, segment_rows=descriptor["segment_rows"])
-        shm_handle, views = attach(descriptor["manifest"])
-        for view in views.values():
-            view.flags.writeable = False
-        for si in range(descriptor["n_segments"]):
-            store._segments.append(
-                {name: views[f"{name}@{si}"] for name in store._schema}
-            )
-        store._n = descriptor["n"]
-        return store, shm_handle
 
 
 class AnswerLog:
@@ -509,8 +450,7 @@ def assemble_tables(
     """Flat batch tables over ``users`` (must be sorted ascending).
 
     The canonical (sorted) user layout makes the tables identical
-    however the window was reached — shard workers slicing a subset of
-    users produce exact row-copies of the full table's blocks.
+    however the window was reached.
     """
     u_count = len(users)
     counts = np.array(

@@ -16,12 +16,11 @@ own registry, keeping per-stage stats identical to a serial run.
 from __future__ import annotations
 
 import os
-import pickle
 from concurrent.futures import ProcessPoolExecutor
 
 from .. import perf
 
-__all__ = ["resolve_n_jobs", "parallel_map", "ShardPool"]
+__all__ = ["resolve_n_jobs", "parallel_map"]
 
 
 def resolve_n_jobs(n_jobs: int | None) -> int:
@@ -77,141 +76,3 @@ def parallel_map(
         registry.merge(snap)
         results.append(result)
     return results
-
-
-# -- shard-addressed persistent workers -------------------------------------
-
-# Per-worker shard state, built once by the pool initializer.  Each
-# shard gets its *own* single-worker executor, so a call addressed to
-# shard s always lands on the process holding shard s's state — the
-# shared-nothing property the sharded state engine relies on.
-_SHARD_STATE = None
-
-
-def _shard_init(factory_bytes: bytes) -> None:
-    global _SHARD_STATE
-    factory, payload = pickle.loads(factory_bytes)
-    _SHARD_STATE = factory(payload)
-
-
-def _shard_call(item):
-    method, args, kwargs = item
-    return getattr(_SHARD_STATE, method)(*args, **kwargs)
-
-
-def _shard_swap(factory_bytes: bytes):
-    """Atomically replace this worker's shard state (refit handshake).
-
-    The new state is built *before* the old one is released, so a
-    failure leaves the worker serving the previous epoch; the caller
-    learns the outcome from the returned acknowledgement.
-    """
-    global _SHARD_STATE
-    factory, payload = pickle.loads(factory_bytes)
-    fresh = factory(payload)
-    stale, _SHARD_STATE = _SHARD_STATE, fresh
-    release = getattr(stale, "release", None)
-    if release is not None:
-        release()
-    return getattr(fresh, "epoch", None)
-
-
-def _shard_release():
-    """Drop this worker's shard state and free its mapped resources."""
-    global _SHARD_STATE
-    stale, _SHARD_STATE = _SHARD_STATE, None
-    release = getattr(stale, "release", None)
-    if release is not None:
-        release()
-    return True
-
-
-class ShardPool:
-    """Persistent shared-nothing worker processes, one per shard.
-
-    ``factory(payload)`` runs once inside each worker at startup and
-    returns the shard's state object; later calls name one of its
-    methods.  Payloads ship exactly once (at initializer time), so the
-    per-call IPC cost is the method arguments and the return value, not
-    the shard state.
-
-    Determinism: :meth:`call_all` scatters one call per shard and
-    gathers results in shard order, so the merge step downstream sees
-    the same sequence however the workers were scheduled.
-    """
-
-    def __init__(self, payloads: list, factory):
-        self._executors = []
-        try:
-            for payload in payloads:
-                self._executors.append(
-                    ProcessPoolExecutor(
-                        max_workers=1,
-                        initializer=_shard_init,
-                        initargs=(pickle.dumps((factory, payload)),),
-                    )
-                )
-        except Exception:
-            self.close()
-            raise
-
-    @property
-    def n_shards(self) -> int:
-        return len(self._executors)
-
-    def submit(self, shard: int, method: str, *args, **kwargs):
-        """Future of ``state.method(*args, **kwargs)`` on ``shard``."""
-        return self._executors[shard].submit(
-            _shard_call, (method, args, kwargs)
-        )
-
-    def call(self, shard: int, method: str, *args, **kwargs):
-        return self.submit(shard, method, *args, **kwargs).result()
-
-    def call_all(self, method: str, args_per_shard: list | None = None) -> list:
-        """Scatter ``method`` to every shard; gather in shard order."""
-        if args_per_shard is None:
-            args_per_shard = [()] * self.n_shards
-        futures = [
-            self.submit(shard, method, *args)
-            for shard, args in enumerate(args_per_shard)
-        ]
-        return [f.result() for f in futures]
-
-    def swap_all(self, factory, payloads: list) -> list:
-        """Swap every worker's state in place; returns the acks.
-
-        Each worker builds its replacement state from ``payloads[shard]``
-        and only then releases the old one, so a swap is atomic per
-        worker: until it acknowledges, calls still see the previous
-        state.  Gathered in shard order like :meth:`call_all`.
-        """
-        futures = [
-            executor.submit(
-                _shard_swap, pickle.dumps((factory, payloads[shard]))
-            )
-            for shard, executor in enumerate(self._executors)
-        ]
-        return [f.result() for f in futures]
-
-    def release_all(self) -> None:
-        """Ask every worker to drop its state before the pool shuts down."""
-        futures = [
-            executor.submit(_shard_release) for executor in self._executors
-        ]
-        for f in futures:
-            try:
-                f.result()
-            except Exception:  # noqa: BLE001 — teardown is best-effort
-                pass
-
-    def close(self) -> None:
-        for executor in self._executors:
-            executor.shutdown(wait=True, cancel_futures=True)
-        self._executors = []
-
-    def __enter__(self) -> "ShardPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

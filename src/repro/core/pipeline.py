@@ -341,8 +341,8 @@ class ForumPredictor:
         """Model heads over prefeaturized rows (same keys as batch).
 
         Entry point for callers that already hold the feature matrix —
-        the sharded serving path merges per-shard feature blocks (and
-        cache-missed rows) and runs the heads once here.
+        the serving core stacks the cache-missed rows of a query batch
+        and runs the heads once here.
         """
         self._check_fitted()
         return {

@@ -421,14 +421,10 @@ def finish_recommendation(
 ) -> RoutingResult | None:
     """Capacity gathering + exact LP over an already-eligible user set.
 
-    The shared tail of every routing path: the dense scorer calls it
-    with its threshold-filtered predictions, and the sharded engine
-    (:mod:`repro.core.sharding`) calls it with the merged per-shard
-    eligible sets — same code, so a merged shard run and a dense run
-    over the same users produce the same :class:`RoutingResult` bit for
-    bit.  ``users`` must be aligned with the prediction arrays; returns
-    ``None`` when nobody is eligible or capacity cannot absorb the unit
-    mass.
+    The tail of :meth:`QuestionRouter.recommend`, called with its
+    threshold-filtered predictions.  ``users`` must be aligned with the
+    prediction arrays; returns ``None`` when nobody is eligible or
+    capacity cannot absorb the unit mass.
     """
     recent_load = recent_load or {}
     capacities = capacities or {}

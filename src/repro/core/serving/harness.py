@@ -78,7 +78,6 @@ def run_load(
     *,
     clock: VirtualClock | None = None,
     settle_s: float = 5.0,
-    close_core: bool = False,
 ) -> LoadReport:
     """Drive the full schedule through the service; block until done.
 
@@ -88,10 +87,6 @@ def run_load(
     virtual time lets queued work drain before the service stops.  The
     run is deterministic: same service config + same schedule produce
     the same responses, admissions and latency histograms.
-
-    ``close_core=True`` also closes the serving core (shard workers,
-    shm blocks) after the run — callers that reuse a warm core across
-    runs keep the default and close it themselves.
     """
     clock = clock or VirtualClock()
 
@@ -117,22 +112,16 @@ def run_load(
         return results
 
     wall_start = time.perf_counter()
-    try:
-        responses = clock.run(main())
-        wall_s = time.perf_counter() - wall_start
-        # Snapshot metrics while the core is still live: closing tears
-        # down the shard fan-out, and its telemetry goes with it.
-        report = LoadReport(
-            n_requests=len(requests),
-            virtual_duration_s=clock.now(),
-            wall_s=wall_s,
-            responses=list(responses),
-            metrics=service.metrics(),
-            health=service.health(),
-        )
-    finally:
-        if close_core:
-            service.core.close()
+    responses = clock.run(main())
+    wall_s = time.perf_counter() - wall_start
+    report = LoadReport(
+        n_requests=len(requests),
+        virtual_duration_s=clock.now(),
+        wall_s=wall_s,
+        responses=list(responses),
+        metrics=service.metrics(),
+        health=service.health(),
+    )
     for request, response in zip(requests, responses):
         if request.kind == "query":
             report.n_queries += 1

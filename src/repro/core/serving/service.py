@@ -45,7 +45,6 @@ from ..resilience import (
 )
 from ..retrieval import CandidateRetriever, RetrievalConfig
 from ..routing import QuestionRouter, UserLoadTracker
-from ..sharding import ShardedRouter
 from ..state import ForumState
 from .batcher import BatchPolicy, MicroBatcher
 from .cache import PredictionCache
@@ -92,12 +91,6 @@ class OnlineConfig:
     # routed without load constraints).
     track_load: bool = True
     load_window_hours: float = 24.0
-    # Shard-parallel candidate featurization in the serving hot path:
-    # >1 fans each query batch out over a ShardedRouter (bit-identical
-    # canonical merge); 1 keeps the single-process extractor.
-    serving_shards: int = 1
-    shard_mode: str = "inline"  # or "process" (persistent workers)
-    shard_transport: str = "shm"  # or "pickle"; process mode only
     # Refit-epoch-keyed (user, thread) prediction cache: repeat queries
     # against the same epoch skip featurization and the model heads.
     # 0 disables; entries are three floats each.
@@ -121,12 +114,6 @@ class OnlineConfig:
             )
         if self.load_window_hours <= 0:
             raise ValueError("load_window_hours must be positive")
-        if self.serving_shards < 1:
-            raise ValueError("serving_shards must be >= 1")
-        if self.shard_mode not in ("inline", "process"):
-            raise ValueError("shard_mode must be 'inline' or 'process'")
-        if self.shard_transport not in ("shm", "pickle"):
-            raise ValueError("shard_transport must be 'shm' or 'pickle'")
         if self.feature_cache_pairs < 0:
             raise ValueError("feature_cache_pairs must be non-negative")
 
@@ -289,12 +276,9 @@ class ServingCore:
         # The refit entry point recovery wraps; tests may swap it to
         # inject refit failures.
         self.refit_hook = self.refit
-        # Serving hot-path accelerators: the shard fan-out (built on the
-        # first router bind when serving_shards > 1, rebound in place on
-        # later refits) and the epoch-keyed prediction cache (cleared on
-        # every bind — static rows are immutable only within an epoch).
+        # The epoch-keyed prediction cache, cleared on every bind:
+        # static rows are immutable only within an epoch.
         self.refit_epoch = 0
-        self._sharded: ShardedRouter | None = None
         self._cache = PredictionCache(self.online_config.feature_cache_pairs)
 
     # -- lifecycle -----------------------------------------------------------
@@ -310,9 +294,9 @@ class ServingCore:
     ) -> "ServingCore":
         """A core serving a prefitted predictor, warmed immediately.
 
-        Binds the router (and shard fan-out, per ``online_config``)
-        without replaying the training window, and parks the refit grid
-        at infinity — the scale path fits offline and serves frozen.
+        Binds the router without replaying the training window and
+        parks the refit grid at infinity — the scale path fits offline
+        and serves frozen.
         """
         if predictor.extractor is None:
             raise RuntimeError("predictor is not fitted")
@@ -323,20 +307,11 @@ class ServingCore:
         return core
 
     def close(self) -> None:
-        """Release shard workers and their shm blocks (idempotent).
+        """No-op: the core owns no resource that needs releasing.
 
-        Only resources the core itself owns: the predictor, state and
-        router are plain in-process objects and need no teardown.
+        The predictor, state and router are plain in-process objects;
+        the method stays so callers can retire a core uniformly.
         """
-        if self._sharded is not None:
-            self._sharded.close()
-            self._sharded = None
-
-    def __enter__(self) -> "ServingCore":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- readiness -----------------------------------------------------------
 
@@ -407,21 +382,6 @@ class ServingCore:
         self._candidates = sorted(candidates)
         self.refit_epoch += 1
         self._cache.clear()
-        if cfg.serving_shards > 1:
-            if self._sharded is None:
-                # retrieval=None: pools come from the core's retriever
-                # parent-side; the shards only featurize.
-                self._sharded = ShardedRouter(
-                    self._predictor,
-                    cfg.serving_shards,
-                    epsilon=cfg.epsilon,
-                    default_capacity=cfg.default_capacity,
-                    retrieval=None,
-                    mode=cfg.shard_mode,
-                    transport=cfg.shard_transport,
-                )
-            else:
-                self._sharded.rebind(self._predictor)
 
     def _bind_retriever(self) -> CandidateRetriever | None:
         """Build or refresh the candidate indices after a refit.
@@ -705,12 +665,13 @@ class ServingCore:
 
         The single scoring path behind :meth:`route` and the fused
         batch flush.  Cache-hit queries skip compute entirely; every
-        miss in the segment is featurized together — ONE shard scatter
-        for the whole segment when sharding is on, one
-        ``feature_matrix`` call otherwise — and the model heads run
-        once over the stacked rows.  With sharding off and the cache
-        empty this reduces exactly to ``predict_batch`` over the
-        concatenated rank pairs, which is what pins bit-identity.
+        miss in the segment is featurized by one ``feature_matrix``
+        call and the model heads run once over the stacked rows.  With
+        the cache empty this is ``predict_batch`` over the concatenated
+        rank pairs.  Stacking changes the shapes of the heads' BLAS
+        products, so scores agree with routing each query alone only to
+        within a relative 1e-12 (last-ulp differences); the ranked and
+        routed users are the same.
         """
         predictor = self._router.predictor
         results: list[dict[str, np.ndarray] | None] = [None] * len(
@@ -728,26 +689,10 @@ class ServingCore:
                 sizes = [
                     len(prepared_list[i].rank_candidates) for i in missed
                 ]
-                if self._sharded is not None:
-                    rows = self._sharded.feature_rows(
-                        [prepared_list[i].thread for i in missed],
-                        [
-                            np.asarray(
-                                prepared_list[i].rank_candidates,
-                                dtype=np.int64,
-                            )
-                            for i in missed
-                        ],
-                    )
-                    perf.incr("serving.shard_scatters")
-                    x = np.concatenate(
-                        [r[1] for r in rows if r[1] is not None], axis=0
-                    )
-                else:
-                    pairs: list[tuple[int, Thread]] = []
-                    for i in missed:
-                        pairs.extend(prepared_list[i].rank_pairs)
-                    x = predictor.extractor.feature_matrix(pairs)
+                pairs: list[tuple[int, Thread]] = []
+                for i in missed:
+                    pairs.extend(prepared_list[i].rank_pairs)
+                x = predictor.extractor.feature_matrix(pairs)
                 horizons = np.concatenate(
                     [
                         np.full(
@@ -876,8 +821,10 @@ class ServingCore:
         — candidate featurization and model scoring fuse into one
         ``predict_batch`` call across every (candidate, question) pair
         of the segment; a due refit flushes the open segment first, so
-        results are bit-identical to routing the same queries one at a
-        time.
+        every query is scored by the same model as when routed one at a
+        time.  The contract against one-at-a-time routing: the same
+        ranked and routed users, and scores equal within a relative
+        1e-12 — the stacked BLAS products may differ in the last ulp.
         """
         responses: list[RouteResponse | None] = [None] * len(threads)
         segment: list[tuple[int, _PreparedQuery]] = []
@@ -1136,29 +1083,6 @@ class RecommendationService:
             "degradation": self.degradation.summary(),
             "cache": self.core._cache.stats(),
         }
-        registry = perf.get_registry()
-        sharded = self.core._sharded
-        if sharded is not None:
-            scatter: dict = {}
-            for shard in range(sharded.n_shards):
-                hist = registry.histogram(f"sharding.scatter.shard{shard}")
-                if hist.count:
-                    scatter[f"shard{shard}"] = {
-                        "count": hist.count,
-                        "p50_ms": round(hist.percentile(50) * 1e3, 4),
-                        "p99_ms": round(hist.percentile(99) * 1e3, 4),
-                        "mean_ms": round(hist.mean * 1e3, 4),
-                    }
-            out["sharding"] = {
-                "n_shards": sharded.n_shards,
-                "mode": sharded.mode,
-                "transport": sharded.transport,
-                "epoch": sharded.epoch,
-                "scatters": registry.counter("serving.shard_scatters"),
-                "shm_bytes_published": sharded.shm_bytes,
-                "shm": registry.counters_with_prefix("shm."),
-                "scatter_latency": scatter,
-            }
         for key, name in (
             ("query_latency", "serving.query_latency"),
             ("event_latency", "serving.event_latency"),

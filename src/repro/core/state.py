@@ -34,9 +34,7 @@ tables bit-identical to a state built fresh from the same thread window
   so set-iteration order never depends on the mutation history.
 
 The online loop relies on this to make its incremental refit path
-produce the exact same :class:`OnlineReport` as a full rebuild, and the
-sharded engine (:mod:`repro.core.sharding`) relies on it to make
-per-shard table slices exact row-copies of the single-process tables.
+produce the exact same :class:`OnlineReport` as a full rebuild.
 """
 
 from __future__ import annotations
@@ -78,8 +76,8 @@ __all__ = [
     "frozen_from_columns",
 ]
 
-# Historical aliases: the freeze artifacts moved to ``core.columnar``
-# (shared with the shard workers); existing imports keep working.
+# Historical aliases: the freeze artifacts moved to ``core.columnar``;
+# existing imports keep working.
 _UserHistory = UserHistory
 _UserSummary = UserSummary
 _BatchTables = BatchTables
@@ -118,9 +116,9 @@ class ColumnQuestionInfo:
     The columnar stand-in for ``FrozenState.question_info``: instead of
     materializing one :class:`QuestionInfo` per question up front (the
     scale path holds hundreds of thousands), it keeps the per-question
-    columns as flat arrays — typically zero-copy views into a shared
-    memory block — and builds dataclass instances on lookup only.  The
-    topic row handed out is a view, never a copy.
+    columns as flat arrays — typically views of the question store's
+    columns — and builds dataclass instances on lookup only.  The topic
+    row handed out is a view, never a copy.
     """
 
     def __init__(self, tids, votes, word_length, code_length, topics):
@@ -605,15 +603,15 @@ def frozen_from_columns(
     """A servable :class:`FrozenState` built straight from columnar stores.
 
     The scale path: a streamed forum
-    (:func:`~repro.forum.streaming.ingest_to_shards`) has answer rows
+    (:func:`~repro.forum.streaming.ingest_stream`) has answer rows
     and question columns but no ``Thread`` objects and no post bodies,
     so the structures that need bodies or explicit post lists
     (discussed-topic aggregates, thread co-occurrence sets, SLN graphs
     and centralities) are empty here — the corresponding features
     evaluate to their documented no-evidence defaults.  Everything the
-    batch feature engine and the sharded serving path actually reduce
-    over — per-user histories, batch tables, per-question info — is
-    exact, and ``question_info`` stays columnar
+    batch feature engine actually reduces over — per-user histories,
+    batch tables, per-question info — is exact, and ``question_info``
+    stays columnar
     (:class:`ColumnQuestionInfo`) instead of materializing one
     dataclass per question.
     """

@@ -9,7 +9,7 @@ from .streaming import (
     ScaleIngestReport,
     StreamChunk,
     UserGroundTruth,
-    ingest_to_shards,
+    ingest_stream,
     sample_users,
     stream_forum_chunks,
 )
@@ -53,7 +53,7 @@ __all__ = [
     "ScaleIngestReport",
     "StreamChunk",
     "UserGroundTruth",
-    "ingest_to_shards",
+    "ingest_stream",
     "sample_users",
     "stream_forum_chunks",
     "ValidationIssue",

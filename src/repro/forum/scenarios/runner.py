@@ -233,12 +233,9 @@ class ScenarioMatrixRunner:
         service = RecommendationService(
             core, ServiceConfig(admission=data.preset.admission)
         )
-        try:
-            service.warm(data.dataset)
-            requests = generate_traffic(data.dataset, data.traffic)
-            load = run_load(service, requests, clock=VirtualClock())
-        finally:
-            core.close()
+        service.warm(data.dataset)
+        requests = generate_traffic(data.dataset, data.traffic)
+        load = run_load(service, requests, clock=VirtualClock())
         latency = load.metrics.get("query_latency", {})
         return {
             "latency_ms": {

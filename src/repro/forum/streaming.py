@@ -32,7 +32,7 @@ exercise topic-dependent paths at scale.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
@@ -48,7 +48,7 @@ __all__ = [
     "sample_users",
     "stream_forum_chunks",
     "ScaleIngestReport",
-    "ingest_to_shards",
+    "ingest_stream",
 ]
 
 
@@ -367,7 +367,6 @@ class ScaleIngestReport:
     question_bytes: int = 0
     answer_bytes: int = 0
     peak_rss_bytes: int = 0
-    answers_per_shard: list[int] = field(default_factory=list)
 
     def as_dict(self) -> dict:
         return {
@@ -379,34 +378,27 @@ class ScaleIngestReport:
             "question_bytes": self.question_bytes,
             "answer_bytes": self.answer_bytes,
             "peak_rss_bytes": self.peak_rss_bytes,
-            "answers_per_shard": list(self.answers_per_shard),
         }
 
 
-def ingest_to_shards(
+def ingest_stream(
     config: ForumConfig,
     *,
     seed: int = 0,
-    n_shards: int = 1,
     chunk_questions: int = 50_000,
     topic_dtype=VALUE_DTYPE,
-) -> tuple[list[AnswerLog], EventStore, ScaleIngestReport]:
-    """Stream a forum straight into per-shard columnar stores.
+) -> tuple[AnswerLog, EventStore, ScaleIngestReport]:
+    """Stream a forum straight into columnar stores.
 
-    Answers partition by ``author % n_shards`` (the sharded state
-    engine's user partition); the mask selection preserves chunk order,
-    so each shard's log stays chronological per user.  Questions land in
-    one shared :class:`EventStore` — they are broadcast-read metadata in
-    the sharded engine, not per-shard state.
+    Every answer lands in one :class:`AnswerLog`, chunk by chunk, so the
+    log stays chronological; questions land in one :class:`EventStore`.
 
-    Returns the shard logs, the question store, and a report with row
+    Returns the answer log, the question store, and a report with row
     counts, columnar footprints and the process peak RSS (gauged via
     :func:`repro.perf.record_peak_rss` under ``scale.``).
     """
     k = config.n_topics
-    logs = [
-        AnswerLog(k, topic_dtype=topic_dtype) for _ in range(n_shards)
-    ]
+    log = AnswerLog(k, topic_dtype=topic_dtype)
     questions = EventStore(
         {
             "thread_id": ID_DTYPE,
@@ -433,19 +425,15 @@ def ingest_to_shards(
                 code_chars=chunk.q_code_chars,
                 topics=chunk.q_topics,
             )
-            shard_of = chunk.a_author % n_shards
-            for shard, log in enumerate(logs):
-                sel = shard_of == shard
-                if not sel.any():
-                    continue
+            if chunk.n_answers:
                 log.append_block(
-                    chunk.a_author[sel],
-                    chunk.a_thread[sel],
-                    chunk.a_votes[sel],
-                    chunk.a_timestamp[sel],
-                    chunk.a_delay[sel],
-                    chunk.q_topics[chunk.a_thread[sel] - chunk.q_id[0]],
-                    chunk.a_topics[sel],
+                    chunk.a_author,
+                    chunk.a_thread,
+                    chunk.a_votes,
+                    chunk.a_timestamp,
+                    chunk.a_delay,
+                    chunk.q_topics[chunk.a_thread - chunk.q_id[0]],
+                    chunk.a_topics,
                 )
             seen_authors.update(np.unique(chunk.a_author).tolist())
             report.n_questions += chunk.n_questions
@@ -454,8 +442,7 @@ def ingest_to_shards(
             perf.record_peak_rss("scale")
     report.n_active_users = len(seen_authors)
     report.question_bytes = questions.nbytes
-    report.answer_bytes = sum(log.nbytes for log in logs)
-    report.answers_per_shard = [log.n_rows for log in logs]
+    report.answer_bytes = log.nbytes
     report.peak_rss_bytes = perf.peak_rss_bytes()
     perf.incr("scale.ingests")
-    return logs, questions, report
+    return log, questions, report

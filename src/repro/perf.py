@@ -475,8 +475,8 @@ def peak_rss_bytes(*, include_children: bool = False) -> int:
 
     ``ru_maxrss`` is a kernel-maintained high-water mark: it needs no
     polling thread and cannot miss a transient spike.  With
-    ``include_children`` the max over waited-for children (shard
-    workers) is folded in — peaks don't add across processes, so the
+    ``include_children`` the max over waited-for children (worker
+    processes) is folded in — peaks don't add across processes, so the
     max is the honest "largest single process" figure.
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * _RU_MAXRSS_SCALE

@@ -5,7 +5,7 @@ import pytest
 
 from repro.forum import ForumConfig
 from repro.forum.streaming import (
-    ingest_to_shards,
+    ingest_stream,
     sample_users,
     stream_forum_chunks,
 )
@@ -120,29 +120,20 @@ class TestStatistics:
 
 
 class TestIngest:
-    def test_shard_partition_and_report(self):
-        logs, questions, report = ingest_to_shards(
-            CONFIG, seed=5, n_shards=3, chunk_questions=600
-        )
-        assert questions.n_rows == CONFIG.n_questions == report.n_questions
-        assert sum(log.n_rows for log in logs) == report.n_answers
-        for shard, log in enumerate(logs):
-            users = log.column("user")
-            assert np.all(users % 3 == shard)
-        assert report.peak_rss_bytes > 0
-        assert report.answers_per_shard == [log.n_rows for log in logs]
-
     def test_single_shard_equals_stream_totals(self):
         chunks = list(stream_forum_chunks(CONFIG, seed=5, chunk_questions=600))
-        logs, _, report = ingest_to_shards(
-            CONFIG, seed=5, n_shards=1, chunk_questions=600
+        log, questions, report = ingest_stream(
+            CONFIG, seed=5, chunk_questions=600
         )
+        assert questions.n_rows == CONFIG.n_questions == report.n_questions
+        assert log.n_rows == report.n_answers
+        assert report.peak_rss_bytes > 0
         np.testing.assert_array_equal(
-            logs[0].column("user"),
+            log.column("user"),
             np.concatenate([c.a_author for c in chunks]),
         )
         np.testing.assert_array_equal(
-            logs[0].column("votes"),
+            log.column("votes"),
             np.concatenate([c.a_votes for c in chunks]),
         )
         assert report.n_chunks == len(chunks)

@@ -288,8 +288,6 @@ class TestScale:
                 "2000",
                 "--questions",
                 "1500",
-                "--shards",
-                "3",
                 "--chunk-questions",
                 "500",
                 "--seed",
@@ -299,5 +297,5 @@ class TestScale:
         assert code == 0
         out = capsys.readouterr().out
         assert "streamed 1500 questions" in out
-        assert "shard 2:" in out
+        assert "answer rows" in out
         assert "peak RSS" in out

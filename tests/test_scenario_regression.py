@@ -13,14 +13,12 @@ Two layers of protection for the full serving stack:
 
 * **Differential replays** — on a clean stream (no fault plan) the
   hardened path must be bit-identical to the plain path for every
-  preset, and the 2-shard inline engine must be bit-identical to the
-  single-process engine.  This is the guarded==plain contract of
+  preset.  This is the guarded==plain contract of
   :mod:`repro.core.online` extended across every scenario regime.
 """
 
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -37,19 +35,13 @@ SCALE = 0.3
 ALL_PRESETS = list_scenarios()
 
 
-def replay(dataset, fault_plan=None, *, guarded=True, shards=1):
-    online = SCENARIO_ONLINE
-    if shards != 1:
-        online = replace(online, serving_shards=shards, shard_mode="inline")
+def replay(dataset, fault_plan=None, *, guarded=True):
     loop = OnlineRecommendationLoop(
         SCENARIO_PREDICTOR,
-        online,
+        SCENARIO_ONLINE,
         ResilienceConfig() if guarded else None,
     )
-    try:
-        return loop.run(dataset, fault_plan)
-    finally:
-        loop.core.close()
+    return loop.run(dataset, fault_plan)
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +111,7 @@ def assert_reports_identical(plain, other):
 
 
 class TestDifferentialReplays:
-    """Guarded-no-faults == plain, at 1 and 2 shards, on every preset."""
+    """Guarded-no-faults == plain on every preset."""
 
     @pytest.mark.parametrize("name", ALL_PRESETS)
     def test_guarded_equals_plain(self, scenario_data, name):
@@ -132,11 +124,3 @@ class TestDifferentialReplays:
             f"{name}: clean scenario stream triggered guard actions "
             f"{guarded.degradation.summary()}"
         )
-
-    @pytest.mark.parametrize("name", ALL_PRESETS)
-    def test_two_shards_bit_identical(self, scenario_data, name):
-        dataset = scenario_data[name].dataset
-        plain = replay(dataset, guarded=False, shards=1)
-        sharded = replay(dataset, guarded=True, shards=2)
-        assert_reports_identical(plain, sharded)
-        assert sharded.degradation is not None and sharded.degradation.ok
