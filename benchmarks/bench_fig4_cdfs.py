@@ -80,13 +80,13 @@ def test_fig4d_topic_similarities(benchmark, dataset, extractor):
         spec = extractor.spec
         uq_col = spec.columns_of("user_question_topic_similarity")[0]
         uv_col = spec.columns_of("user_user_topic_similarity")[0]
-        s_uq, s_uv = [], []
-        for thread in dataset.threads[:300]:
-            for user in thread.answerers:
-                x = extractor.features(user, thread)
-                s_uq.append(x[uq_col])
-                s_uv.append(x[uv_col])
-        return np.array(s_uq), np.array(s_uv)
+        pairs = [
+            (user, thread)
+            for thread in dataset.threads[:300]
+            for user in thread.answerers
+        ]
+        x = extractor.feature_matrix(pairs)
+        return x[:, uq_col], x[:, uv_col]
 
     s_uq, s_uv = benchmark.pedantic(compute, rounds=1, iterations=1)
     print("\nFig. 4d: topic similarities of answerers")

@@ -91,7 +91,7 @@ def explain_prediction(
     """Feature attributions for one pair across all three tasks."""
     if predictor.extractor is None:
         raise RuntimeError("predictor is not fitted")
-    x = predictor.extractor.features(user, thread)[None, :]
+    x = predictor.extractor.feature_matrix([(user, thread)])
     spec = predictor.extractor.spec
 
     # Task (i): exact linear attribution on standardized features.

@@ -12,17 +12,16 @@ throwaway state) or, on the streaming path, from a long-lived state via
 per-user block and centrality table that did not change since the last
 refit.
 
-Two equivalent paths produce the vectors:
-
-* :meth:`FeatureExtractor.features` — the scalar reference path, one
-  pair at a time;
-* :meth:`FeatureExtractor.features_batch` — the batched engine behind
-  :meth:`feature_matrix`.  It groups pairs by user and by thread so the
-  per-user aggregates and per-question info are computed once per group,
-  vectorizes the topic-similarity blocks with NumPy over whole pair
-  blocks, and memoizes the resource-allocation index per (user, asker).
-  Its output matches the scalar path element-wise to floating-point
-  roundoff (tested at atol=1e-12).
+Binding compiles the snapshot once into gather tables indexed by one
+*user row* per window user (plus a sentinel row, holding the
+no-evidence defaults, for every user the window does not know), and
+into two per-thread inverses: the participants of each thread (for
+``h_uv``) and the (user, history row, discussed-topic vector) entries
+of each thread (for the leakage guard).  :meth:`feature_matrix` then
+groups pairs by question and featurizes each group as one *block* —
+one thread against an array of users — almost entirely with array
+gathers.  The resource-allocation indices are memoized per asker as a
+sparse (two-hop rows, values) pair.
 
 Leakage guard: when the target thread itself lies inside the window,
 all user-side aggregates (answer counts, votes, response times, topic
@@ -37,33 +36,32 @@ reading.  Graph centralities are computed once over the whole window
 from __future__ import annotations
 
 from collections import OrderedDict
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 
 import numpy as np
 
 from .. import perf
 from ..forum.dataset import ForumDataset
 from ..forum.models import Thread
-from ..graphs import (
-    UndirectedGraph,
-    resource_allocation_index,
-    resource_allocation_indices,
-)
+from ..graphs import UndirectedGraph, resource_allocation_indices
 from .featurespec import FeatureSpec
 from .state import (
     ForumState,
     FrozenState,
     QuestionInfo,
-    _BatchTables,
     question_info_from_thread,
 )
 from .topic_context import TopicModelContext
 
 __all__ = ["FeatureExtractor", "QuestionInfo"]
 
-# Sentinel thread id that never collides with a real (non-negative) id,
-# used to request "no exclusion" from the masked aggregate helpers.
-_NO_THREAD = -1
+# Pads the sorted user ids so a lookup past the last id lands on the
+# sentinel row; no real user id reaches it.
+_ID_PAD = np.iinfo(np.int64).max
+
+
+def _id_array(ids: Iterable, count: int) -> np.ndarray:
+    return np.fromiter(ids, dtype=np.int64, count=count)
 
 
 class FeatureExtractor:
@@ -73,8 +71,8 @@ class FeatureExtractor:
     # small LRU; the window's own threads are cached permanently.
     _OUT_OF_WINDOW_CACHE_SIZE = 512
 
-    # Memory cap (in float64 elements) for one pair-block x history
-    # similarity matrix inside the batch engine.
+    # Memory cap (in float64 elements) for one block's pair x history
+    # similarity matrix.
     _SIM_CHUNK_ELEMENTS = 4_000_000
 
     def __init__(
@@ -128,34 +126,232 @@ class FeatureExtractor:
         self.frozen = frozen
         self._question_info = frozen.question_info
         self._extra_question_info: OrderedDict[int, QuestionInfo] = OrderedDict()
-        self._histories = frozen.histories
-        self._questions_asked = frozen.questions_asked
-        self._global_median_response = frozen.global_median_response
-        self._discussed_sum = frozen.discussed_sum
-        self._discussed_count = frozen.discussed_count
-        self._discussed_by_thread = frozen.discussed_by_thread
-        self._thread_sets = frozen.thread_sets
         self.qa_graph: UndirectedGraph = frozen.qa_graph
         self.dense_graph: UndirectedGraph = frozen.dense_graph
-        self._qa_closeness = frozen.qa_closeness
-        self._qa_betweenness = frozen.qa_betweenness
-        self._dense_closeness = frozen.dense_closeness
-        self._dense_betweenness = frozen.dense_betweenness
-        self._batch_tables = frozen.batch_tables
-        # Lazy caches used by the batch engine (all bounded by the
-        # window's own user/pair population).
-        self._rai_cache: dict[tuple[int, int], tuple[float, float]] = {}
-        self._discussed_base: dict[int, np.ndarray] = {}
+        # Asker row -> sparse (rows, values) social columns; see
+        # _asker_memo.  At most one entry per window user that asks.
+        self._memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        self._compile(frozen)
 
     @property
     def window_fingerprint(self) -> str:
         """Digest of the bound window; persisted to guard reloads."""
         return self.frozen.fingerprint
 
-    # -- per-feature computation ----------------------------------------------
+    # -- compiled tables ------------------------------------------------------
 
-    def _info_from_thread(self, thread: Thread) -> QuestionInfo:
-        return question_info_from_thread(thread, self.topics)
+    def _compile(self, frozen: FrozenState) -> None:
+        """Gather tables over one row per window user, once per epoch.
+
+        The last row is the sentinel every unknown user maps to; it
+        holds the no-evidence defaults (zero activity, uniform topics,
+        the global median response time, zero centralities).
+        """
+        tbl = frozen.batch_tables
+        users_of = [
+            frozen.questions_asked,
+            tbl.user_index,
+            frozen.discussed_sum,
+            frozen.thread_sets,
+            frozen.qa_closeness,
+            frozen.qa_betweenness,
+            frozen.dense_closeness,
+            frozen.dense_betweenness,
+        ]
+        ids = np.unique(
+            np.concatenate(
+                [_id_array(d, len(d)) for d in users_of]
+                + [
+                    _id_array(g.nodes(), len(g))
+                    for g in (frozen.qa_graph, frozen.dense_graph)
+                ]
+            )
+        )
+        n_rows = ids.size + 1
+        self._user_ids = np.append(ids, _ID_PAD)
+
+        # User features (i)-(v) — answer count, answer ratio, votes,
+        # median response time — and d_u; rows without a history keep
+        # the defaults.  ``user_index`` lists users in table order.
+        tbl_rows = self._rows(_id_array(tbl.user_index, len(tbl.user_index)))
+        self._tbl_row = np.full(n_rows, -1, dtype=np.int64)
+        self._tbl_row[tbl_rows] = np.arange(tbl_rows.size)
+        asked = frozen.questions_asked
+        self._asked = np.zeros(n_rows)
+        self._asked[self._rows(_id_array(asked, len(asked)))] = np.fromiter(
+            asked.values(), dtype=float, count=len(asked)
+        )
+        user = np.zeros((n_rows, 4))
+        user[:, 3] = frozen.global_median_response
+        user[tbl_rows, 0] = tbl.n.astype(float)
+        user[tbl_rows, 1] = tbl.n / (1.0 + self._asked[tbl_rows])
+        user[tbl_rows, 2] = tbl.votes_sum
+        user[tbl_rows, 3] = tbl.median_rt
+        self._user_cols = user
+        self._d_u = np.tile(self._uniform, (n_rows, 1))
+        self._d_u[tbl_rows] = tbl.d_u
+        self._dup_rows = self._rows(
+            _id_array(tbl.dup_users, len(tbl.dup_users))
+        )
+
+        # Topics discussed, with no thread left out.
+        self._disc = np.tile(self._uniform, (n_rows, 1))
+        disc_users = list(frozen.discussed_sum)
+        disc_sum = np.array(list(frozen.discussed_sum.values())).reshape(
+            len(disc_users), self.topics.n_topics
+        )
+        disc_count = np.array(
+            [frozen.discussed_count[u] for u in disc_users], dtype=np.int64
+        )
+        has_posts = disc_count > 0
+        self._disc[self._rows(_id_array(disc_users, len(disc_users)))[
+            has_posts
+        ]] = disc_sum[has_posts] / disc_count[has_posts, None]
+        self._compile_threads(frozen, disc_users, disc_sum, disc_count)
+
+        # Social features (xv)-(xx); the two RAI columns stay zero here
+        # and are filled from the asker memo.
+        social = np.zeros((n_rows, 6))
+        for col, table in (
+            (0, frozen.qa_closeness),
+            (1, frozen.qa_betweenness),
+            (3, frozen.dense_closeness),
+            (4, frozen.dense_betweenness),
+        ):
+            social[self._rows(_id_array(table, len(table))), col] = (
+                np.fromiter(table.values(), dtype=float, count=len(table))
+            )
+        self._social = social
+
+    def _compile_threads(
+        self,
+        frozen: FrozenState,
+        disc_users: list[int],
+        disc_sum: np.ndarray,
+        disc_count: np.ndarray,
+    ) -> None:
+        """The thread inverse: one entry per (thread, user row) with a
+        history row, a discussed-topic contribution or a place in the
+        thread's participant set, keyed ``tid * n_rows + row`` and
+        sorted.  An entry holds the history row for the thread (-1 if
+        none), the user's discussed topics with the thread left out, and
+        whether the user took part in the thread."""
+        n_rows = self._user_ids.size
+        row_of = frozen.batch_tables.row_of
+        hist_keys = _id_array((t for _, t in row_of), len(row_of)) * n_rows
+        hist_keys += self._rows(_id_array((u for u, _ in row_of), len(row_of)))
+
+        index_of = {u: i for i, u in enumerate(disc_users)}
+        owner, tids, vecs, n_posts = [], [], [], []
+        for u, per_thread in frozen.discussed_by_thread.items():
+            i = index_of.get(u)
+            if i is None:
+                continue  # no totals: the uniform default stands
+            for tid, (vec, n) in per_thread.items():
+                owner.append(i)
+                tids.append(tid)
+                vecs.append(vec)
+                n_posts.append(n)
+        owner = np.asarray(owner, dtype=np.int64)
+        disc_rows = self._rows(_id_array(disc_users, len(disc_users)))
+        disc_keys = _id_array(tids, len(tids)) * n_rows + disc_rows[owner]
+        remaining = disc_count[owner] - np.asarray(n_posts, dtype=np.int64)
+        left_out = np.tile(self._uniform, (owner.size, 1))
+        ok = remaining > 0
+        left_out[ok] = (
+            disc_sum[owner[ok]]
+            - np.array(vecs).reshape(owner.size, self.topics.n_topics)[ok]
+        ) / remaining[ok, None]
+
+        members, member_tids = [], []
+        for u, thread_ids in frozen.thread_sets.items():
+            members.extend([u] * len(thread_ids))
+            member_tids.extend(thread_ids)
+        member_keys = _id_array(member_tids, len(member_tids)) * n_rows
+        member_keys += self._rows(_id_array(members, len(members)))
+
+        keys = np.union1d(np.union1d(hist_keys, disc_keys), member_keys)
+        self._thread_key = keys
+        self._thread_hrow = np.full(keys.size, -1, dtype=np.int64)
+        self._thread_hrow[np.searchsorted(keys, hist_keys)] = np.fromiter(
+            row_of.values(), dtype=np.int64, count=len(row_of)
+        )
+        self._thread_disc = self._disc[keys % n_rows]
+        self._thread_disc[np.searchsorted(keys, disc_keys)] = left_out
+        self._thread_member = np.zeros(keys.size, dtype=bool)
+        self._thread_member[np.searchsorted(keys, member_keys)] = True
+        # thread id -> participant rows, for the asker memo's counts.
+        member_keys = np.sort(member_keys)
+        member_tid = member_keys // n_rows
+        starts = np.flatnonzero(np.diff(member_tid, prepend=-1))
+        self._members = dict(
+            zip(
+                member_tid[starts].tolist(),
+                np.split(member_keys % n_rows, starts[1:]),
+            )
+        )
+
+    def _rows(self, users: np.ndarray) -> np.ndarray:
+        """User row per user id; the sentinel row for unknown users."""
+        ids = self._user_ids
+        pos = np.searchsorted(ids, users)
+        return np.where(ids[pos] == users, pos, ids.size - 1)
+
+    @staticmethod
+    def _lookup(
+        keys: np.ndarray, table: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """(positions in ``keys`` found in the sorted ``table``, and
+        where each was found)."""
+        if not table.size:
+            return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+        pos = np.minimum(np.searchsorted(table, keys), table.size - 1)
+        hit = np.flatnonzero(table[pos] == keys)
+        return hit, pos[hit]
+
+    def _asker_memo(self, a_row: int) -> tuple[np.ndarray, np.ndarray]:
+        """The asker's sparse social columns: (user rows, (n, 3) values)
+        holding the shared-thread count ``|S_u & S_a|`` and the RAI on
+        the QA and dense graphs.  Rows cover the asker's co-participants
+        and two-hop neighbourhood in either graph; every other user's
+        three values are exactly zero.  The RAI values come from the
+        same ``(user, asker)`` tuples a per-pair call would use, so each
+        keeps its summation order."""
+        memo = self._memo.get(a_row)
+        if memo is not None:
+            return memo
+        asker = int(self._user_ids[a_row])
+        thread_ids = self.frozen.thread_sets.get(asker, ())
+        shared_rows, shared = (
+            np.unique(
+                np.concatenate([self._members[t] for t in thread_ids]),
+                return_counts=True,
+            )
+            if thread_ids
+            else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        )
+        two_hop: set[int] = set()
+        for graph in (self.qa_graph, self.dense_graph):
+            if asker in graph:
+                for nbr in graph.neighbors(asker):
+                    two_hop |= graph.neighbors(nbr)
+        nodes = sorted(two_hop)
+        pairs = [(u, asker) for u in nodes]
+        rai_rows = self._rows(_id_array(nodes, len(nodes)))
+        rows = np.union1d(shared_rows, rai_rows)
+        values = np.zeros((rows.size, 3))
+        values[np.searchsorted(rows, shared_rows), 0] = shared
+        values[np.searchsorted(rows, rai_rows), 1] = (
+            resource_allocation_indices(self.qa_graph, pairs)
+        )
+        values[np.searchsorted(rows, rai_rows), 2] = (
+            resource_allocation_indices(self.dense_graph, pairs)
+        )
+        memo = (rows, values)
+        self._memo[a_row] = memo
+        return memo
+
+    # -- question info ----------------------------------------------------------
 
     def _question_info_for(self, thread: Thread) -> QuestionInfo:
         tid = thread.thread_id
@@ -170,246 +366,105 @@ class FeatureExtractor:
         if info is not None:
             extra.move_to_end(tid)
             return info
-        info = self._info_from_thread(thread)
+        info = question_info_from_thread(thread, self.topics)
         extra[tid] = info
         if len(extra) > self._OUT_OF_WINDOW_CACHE_SIZE:
             extra.popitem(last=False)
         return info
 
-    def _history_view(self, user: int, exclude_thread: int):
-        """(mask, history) with the target thread's rows masked out."""
-        history = self._histories.get(user)
-        if history is None:
-            return None, None
-        mask = history.answered_thread_ids != exclude_thread
-        return mask, history
-
-    def _topics_discussed(self, user: int, exclude_thread: int) -> np.ndarray:
-        total = self._discussed_sum.get(user)
-        if total is None:
-            return self._uniform
-        count = self._discussed_count[user]
-        excl = self._discussed_by_thread.get(user, {}).get(exclude_thread)
-        if excl is not None:
-            total = total - excl[0]
-            count -= excl[1]
-        if count <= 0:
-            return self._uniform
-        return total / count
-
-    @staticmethod
-    def _tv_similarity(p: np.ndarray, q: np.ndarray) -> float:
-        return float(1.0 - 0.5 * np.abs(p - q).sum())
-
-    def _tables(self) -> _BatchTables:
-        """The flat batch tables (assembled by the state's freeze)."""
-        return self._batch_tables
-
     # -- public API ----------------------------------------------------------------
 
-    def features(self, user: int, thread: Thread) -> np.ndarray:
-        """The full x_uq vector for one (user, question) pair."""
-        k = self.topics.n_topics
-        tid = thread.thread_id
-        info = self._question_info_for(thread)
-        mask, history = self._history_view(user, tid)
-
-        # User features (i)-(v), excluding the target thread.
-        if history is not None and mask.any():
-            n_answers = float(mask.sum())
-            votes_sum = float(history.answer_votes[mask].sum())
-            median_rt = float(np.median(history.response_times[mask]))
-            d_u = history.answer_topic_vectors[mask].mean(axis=0)
-        else:
-            n_answers = 0.0
-            votes_sum = 0.0
-            median_rt = self._global_median_response
-            d_u = self._uniform
-        asked = self._questions_asked.get(user, 0)
-        answer_ratio = n_answers / (1.0 + asked)
-
-        # Question features (vi)-(ix).
-        d_q = info.topics
-
-        # User-question features (x)-(xii).
-        s_uq = self._tv_similarity(d_u, d_q)
-        if history is not None and mask.any():
-            sims = 1.0 - 0.5 * np.abs(
-                history.answered_question_topics[mask] - d_q[None, :]
-            ).sum(axis=1)
-            g_uq = float(sims.sum())
-            e_uq = float((sims * history.answer_votes[mask]).sum())
-        else:
-            g_uq = 0.0
-            e_uq = 0.0
-
-        # Social features (xiii)-(xx).
-        asker = thread.asker
-        s_uv = self._tv_similarity(
-            self._topics_discussed(user, tid), self._topics_discussed(asker, tid)
-        )
-        shared = self._thread_sets.get(user, set()) & self._thread_sets.get(
-            asker, set()
-        )
-        h_uv = float(len(shared - {tid}))
-        x = np.empty(self.spec.n_features)
-        pos = 0
-
-        def put(value: float) -> None:
-            nonlocal pos
-            x[pos] = value
-            pos += 1
-
-        def put_vec(vec: np.ndarray) -> None:
-            nonlocal pos
-            x[pos : pos + k] = vec
-            pos += k
-
-        put(n_answers)
-        put(answer_ratio)
-        put(votes_sum)
-        put(median_rt)
-        put_vec(d_u)
-        put(info.votes)
-        put(info.word_length)
-        put(info.code_length)
-        put_vec(d_q)
-        put(s_uq)
-        put(g_uq)
-        put(e_uq)
-        put(s_uv)
-        put(h_uv)
-        put(self._qa_closeness.get(user, 0.0))
-        put(self._qa_betweenness.get(user, 0.0))
-        put(resource_allocation_index(self.qa_graph, user, asker))
-        put(self._dense_closeness.get(user, 0.0))
-        put(self._dense_betweenness.get(user, 0.0))
-        put(resource_allocation_index(self.dense_graph, user, asker))
-        assert pos == self.spec.n_features
-        return x
-
-    def features_batch(
+    def feature_matrix(
         self, pairs: Sequence[tuple[int, Thread]]
     ) -> np.ndarray:
-        """x_uq vectors for many (user, question) pairs at once.
-
-        Element-wise equivalent to calling :meth:`features` per pair,
-        but per-question info is resolved once per distinct thread,
-        per-user aggregates once per user (adjusted only for the pairs
-        whose target thread the user actually answered), and the
-        topic-similarity blocks are vectorized over whole pair blocks.
-        """
+        """Stacked x_uq vectors for (user, thread) pairs, in input order."""
         pairs = list(pairs)
         n = len(pairs)
-        x = np.empty((n, self.spec.n_features))
         if n == 0:
-            return x
+            return np.empty((0, self.spec.n_features))
         with perf.timer("features.batch"):
-            self._features_batch_into(pairs, x)
+            x = self._featurize(pairs)
         perf.incr("features.pairs_batched", n)
         return x
 
-    def feature_matrix(
-        self, pairs: list[tuple[int, Thread]]
-    ) -> np.ndarray:
-        """Stacked feature vectors for (user, thread) pairs."""
-        return self.features_batch(pairs)
+    # -- block kernel ---------------------------------------------------------
 
-    # -- batch engine ---------------------------------------------------------
-
-    def _features_batch_into(
-        self, pairs: list[tuple[int, Thread]], x: np.ndarray
-    ) -> None:
+    def _featurize(self, pairs: list[tuple[int, Thread]]) -> np.ndarray:
+        """The block kernel: pairs grouped into one block per question,
+        every column gathered from the compiled tables by user row and
+        block index."""
         k = self.topics.n_topics
         n = len(pairs)
-        users = [u for u, _ in pairs]
-        tids = [t.thread_id for _, t in pairs]
-        askers = [t.asker for _, t in pairs]
+        n_rows = self._user_ids.size
+        tbl = self.frozen.batch_tables
 
-        # Column offsets of the canonical FEATURE_ORDER layout (18 + 2K);
-        # the scalar path's sequential `put` calls define the same order.
-        c_n_answers, c_ratio, c_votes, c_median = 0, 1, 2, 3
+        # Column offsets of the canonical FEATURE_ORDER layout (18 + 2K).
         c_du = slice(4, 4 + k)
-        c_qvotes, c_qword, c_qcode = 4 + k, 5 + k, 6 + k
+        c_question = slice(4 + k, 7 + k)
         c_dq = slice(7 + k, 7 + 2 * k)
-        (
-            c_suq,
-            c_guq,
-            c_euq,
-            c_suv,
-            c_huv,
-            c_qa_clo,
-            c_qa_bet,
-            c_qa_rai,
-            c_dense_clo,
-            c_dense_bet,
-            c_dense_rai,
-        ) = range(7 + 2 * k, 18 + 2 * k)
-        assert c_dense_rai == self.spec.n_features - 1
+        c_suq, c_guq, c_euq, c_suv, c_huv, c_social = range(
+            7 + 2 * k, 13 + 2 * k
+        )
+        assert c_social + 6 == self.spec.n_features
 
-        # Question features: resolve info once per distinct thread.
-        info_row: dict[int, int] = {}
-        q_scalars: list[tuple[float, float, float]] = []
-        q_topic_rows: list[np.ndarray] = []
+        # Blocks: one per distinct (thread, asker), in first-seen order.
+        block_of: dict[tuple[int, int], int] = {}
+        threads: list[Thread] = []
+        block_list: list[int] = []
+        prev, b = None, -1
         for _, thread in pairs:
-            tid = thread.thread_id
-            if tid not in info_row:
-                info = self._question_info_for(thread)
-                info_row[tid] = len(q_scalars)
-                q_scalars.append((info.votes, info.word_length, info.code_length))
-                q_topic_rows.append(info.topics)
-        q_scalar_arr = np.asarray(q_scalars)
-        q_topic_arr = np.asarray(q_topic_rows).reshape(len(q_topic_rows), k)
-        rows = np.fromiter((info_row[tid] for tid in tids), dtype=np.int64, count=n)
-        x[:, c_qvotes] = q_scalar_arr[rows, 0]
-        x[:, c_qword] = q_scalar_arr[rows, 1]
-        x[:, c_qcode] = q_scalar_arr[rows, 2]
-        dq_all = q_topic_arr[rows]
+            if thread is not prev:
+                prev = thread
+                key = (thread.thread_id, thread.asker)
+                b = block_of.get(key, -1)
+                if b < 0:
+                    b = block_of[key] = len(threads)
+                    threads.append(thread)
+            block_list.append(b)
+        block = np.asarray(block_list, dtype=np.int64)
+        r = self._rows(_id_array((u for u, _ in pairs), n))
+
+        # Question features (vi)-(ix), resolved once per block.
+        infos = [self._question_info_for(t) for t in threads]
+        q_scalars = np.asarray(
+            [(i.votes, i.word_length, i.code_length) for i in infos]
+        )
+        q_topics = np.asarray([i.topics for i in infos]).reshape(
+            len(infos), k
+        )
+        q_tid = _id_array((t.thread_id for t in threads), len(threads))
+        q_asker = self._rows(
+            _id_array((t.asker for t in threads), len(threads))
+        )
+        x = np.empty((n, self.spec.n_features))
+        x[:, c_question] = q_scalars[block]
+        dq_all = q_topics[block]
         x[:, c_dq] = dq_all
 
-        # User + user-question features, flat across the whole batch.
-        tbl = self._tables()
-        uniq_users, inv = np.unique(
-            np.asarray(users, dtype=np.int64), return_inverse=True
-        )
-        uniq_list = [int(u) for u in uniq_users]
-        asked = np.array(
-            [float(self._questions_asked.get(u, 0)) for u in uniq_list]
-        )[inv]
-        ui = np.array(
-            [tbl.user_index.get(u, -1) for u in uniq_list], dtype=np.int64
-        )[inv]
-
-        # Empty-history defaults everywhere, then overwrite known users.
-        d_u = np.empty((n, k))
-        d_u[:] = self._uniform
+        # User aggregates, gathered by row before the leakage guard.
+        x[:, :4] = self._user_cols[r]
+        d_u = self._d_u[r]
+        t_user = self._disc[r]
         g = np.zeros(n)
         e = np.zeros(n)
-        x[:, c_n_answers] = 0.0
-        x[:, c_ratio] = 0.0
-        x[:, c_votes] = 0.0
-        x[:, c_median] = self._global_median_response
 
+        # g_uq / e_uq: one flat TV-similarity pass over every (pair,
+        # history-row) combination; segment i covers pair kidx[i]'s
+        # history block.
+        ui = self._tbl_row[r]
         kidx = np.flatnonzero(ui >= 0)
+        pair_seg = np.zeros(n, dtype=np.int64)
+        sims_flat = np.empty(0)
         if kidx.size:
             kui = ui[kidx]
             counts = tbl.n[kui]
-            x[kidx, c_n_answers] = counts.astype(float)
-            x[kidx, c_ratio] = counts / (1.0 + asked[kidx])
-            x[kidx, c_votes] = tbl.votes_sum[kui]
-            x[kidx, c_median] = tbl.median_rt[kui]
-            d_u[kidx] = tbl.d_u[kui]
-
-            # One flat TV-similarity pass over every (pair, history-row)
-            # combination; segment i covers pair kidx[i]'s history block.
             seg = np.zeros(kidx.size + 1, dtype=np.int64)
             np.cumsum(counts, out=seg[1:])
+            pair_seg[kidx] = seg[:-1]
             total = int(seg[-1])
             flat_pair = np.repeat(kidx, counts)
-            flat_rows = (
-                np.arange(total, dtype=np.int64)
-                - np.repeat(seg[:-1], counts)
-                + np.repeat(tbl.seg_start[kui], counts)
+            flat_rows = np.arange(total, dtype=np.int64) + np.repeat(
+                tbl.seg_start[kui] - seg[:-1], counts
             )
             sims_flat = np.empty(total)
             chunk = max(1, self._SIM_CHUNK_ELEMENTS // max(1, k))
@@ -423,118 +478,92 @@ class FeatureExtractor:
                 sims_flat * tbl.hist_votes[flat_rows], seg[:-1]
             )
 
-            # Leakage-guard adjustments for pairs whose target thread the
-            # user answered: leave-one-row-out, vectorized over all of
-            # them at once via `row_of`; duplicate-tid users fall back to
-            # the scalar masked computation.
-            excl_pos: list[int] = []
-            excl_row: list[int] = []
-            slow_pos: list[int] = []
-            row_of = tbl.row_of
-            dup = tbl.dup_users
-            for pos, i in enumerate(kidx.tolist()):
-                u = users[i]
-                if u in dup:
-                    slow_pos.append(pos)
-                    continue
-                row = row_of.get((u, tids[i]))
-                if row is not None:
-                    excl_pos.append(pos)
-                    excl_row.append(row)
-            if excl_pos:
-                self._apply_exclusions(
-                    tbl,
-                    np.asarray(excl_pos, dtype=np.int64),
-                    np.asarray(excl_row, dtype=np.int64),
-                    kidx, ui, asked, seg, sims_flat, d_u, g, e, x,
-                )
-            for pos in slow_pos:
+        # Leakage guard, applied only to pairs with an entry in their
+        # thread's inverse: discussed topics with the thread left out and
+        # leave-one-row-out user aggregates.
+        hit, entry = self._lookup(q_tid[block] * n_rows + r, self._thread_key)
+        t_user[hit] = self._thread_disc[entry]
+        member = np.zeros(n, dtype=bool)
+        member[hit] = self._thread_member[entry]
+        hrow = self._thread_hrow[entry]
+        has_row = hrow >= 0
+        if has_row.any():
+            self._apply_exclusions(
+                hit[has_row], hrow[has_row], r, pair_seg, sims_flat,
+                d_u, g, e, x,
+            )
+        if self._dup_rows.size:
+            for i in np.flatnonzero(np.isin(r, self._dup_rows)).tolist():
                 self._slow_exclusion(
-                    int(kidx[pos]), users, tids, asked, sims_flat,
-                    seg[pos], seg[pos + 1], d_u, g, e, x,
+                    int(pairs[i][0]), int(q_tid[block[i]]),
+                    float(self._asked[r[i]]),
+                    sims_flat[pair_seg[i] : pair_seg[i] + tbl.n[ui[i]]],
+                    i, d_u, g, e, x,
                 )
+        t_asker = self._disc[q_asker]
+        asker_member = np.zeros(len(threads), dtype=bool)
+        a_hit, a_entry = self._lookup(
+            q_tid * n_rows + q_asker, self._thread_key
+        )
+        t_asker[a_hit] = self._thread_disc[a_entry]
+        asker_member[a_hit] = self._thread_member[a_entry]
+
         x[:, c_du] = d_u
+        x[:, c_suq] = 1.0 - 0.5 * np.abs(d_u - dq_all).sum(axis=1)
         x[:, c_guq] = g
         x[:, c_euq] = e
-        x[:, c_suq] = 1.0 - 0.5 * np.abs(d_u - dq_all).sum(axis=1)
+        x[:, c_suv] = 1.0 - 0.5 * np.abs(t_user - t_asker[block]).sum(axis=1)
 
-        # s_uv over the whole batch at once.
-        t_user = self._discussed_matrix(users, tids)
-        t_asker = self._discussed_matrix(askers, tids)
-        x[:, c_suv] = 1.0 - 0.5 * np.abs(t_user - t_asker).sum(axis=1)
-
-        # h_uv with the shared-thread intersection memoized per (u, v).
-        empty: set[int] = set()
-        shared_cache: dict[tuple[int, int], int] = {}
-        for i in range(n):
-            u, a, tid = users[i], askers[i], tids[i]
-            key = (u, a)
-            count = shared_cache.get(key)
-            su = self._thread_sets.get(u, empty)
-            sa = self._thread_sets.get(a, empty)
-            if count is None:
-                count = len(su & sa)
-                shared_cache[key] = count
-            x[i, c_huv] = float(count - (1 if (tid in su and tid in sa) else 0))
-
-        # Centralities: one dict lookup per distinct user.
-        for col, table in (
-            (c_qa_clo, self._qa_closeness),
-            (c_qa_bet, self._qa_betweenness),
-            (c_dense_clo, self._dense_closeness),
-            (c_dense_bet, self._dense_betweenness),
-        ):
-            x[:, col] = np.array(
-                [table.get(u, 0.0) for u in uniq_list]
-            )[inv]
-
-        # Resource-allocation indices, memoized per (user, asker) across
-        # both graphs and batched per graph for the cache misses.
-        pair_keys = list(zip(users, askers))
-        missing = list(dict.fromkeys(
-            key for key in pair_keys if key not in self._rai_cache
-        ))
-        if missing:
-            qa_vals = resource_allocation_indices(self.qa_graph, missing)
-            dense_vals = resource_allocation_indices(self.dense_graph, missing)
-            for key, qa_v, dense_v in zip(missing, qa_vals, dense_vals):
-                self._rai_cache[key] = (qa_v, dense_v)
-        rai = np.array([self._rai_cache[key] for key in pair_keys])
-        x[:, c_qa_rai] = rai[:, 0]
-        x[:, c_dense_rai] = rai[:, 1]
+        # h_uv, centralities and resource-allocation indices: the asker
+        # memos of the batch's askers, concatenated under keys
+        # ``asker_row * n_rows + row`` and gathered once.
+        memo_keys, memo_values = [], []
+        for a_row in np.unique(q_asker[q_asker < n_rows - 1]).tolist():
+            rows, values = self._asker_memo(a_row)
+            memo_keys.append(a_row * n_rows + rows)
+            memo_values.append(values)
+        shared = np.zeros(n)
+        social = self._social[r]
+        if memo_keys:
+            hit, entry = self._lookup(
+                q_asker[block] * n_rows + r, np.concatenate(memo_keys)
+            )
+            values = np.concatenate(memo_values)[entry]
+            shared[hit] = values[:, 0]
+            social[hit, 2] = values[:, 1]
+            social[hit, 5] = values[:, 2]
+        # The target thread itself does not count as shared.
+        x[:, c_huv] = shared - (member & asker_member[block])
+        x[:, c_social:] = social
+        return x
 
     def _apply_exclusions(
         self,
-        tbl: _BatchTables,
-        excl_pos: np.ndarray,
+        ei: np.ndarray,
         excl_row: np.ndarray,
-        kidx: np.ndarray,
-        ui: np.ndarray,
-        asked: np.ndarray,
-        seg: np.ndarray,
+        r: np.ndarray,
+        pair_seg: np.ndarray,
         sims_flat: np.ndarray,
         d_u: np.ndarray,
         g: np.ndarray,
         e: np.ndarray,
         x: np.ndarray,
     ) -> None:
-        """Leave-one-row-out adjustment for every pair whose target
-        thread sits in the pair's user history, all users at once.
-
-        ``excl_pos`` indexes into ``kidx``/``seg`` (known-user order),
-        ``excl_row`` the matching rows of the concatenated history.
-        """
+        """Leave-one-row-out adjustment for the pairs ``ei`` whose target
+        thread sits in the user's history, at concatenated rows
+        ``excl_row``; ``r`` holds the block's user rows and ``pair_seg``
+        locates each pair's block in ``sims_flat``."""
+        tbl = self.frozen.batch_tables
         c_n_answers, c_ratio, c_votes, c_median = 0, 1, 2, 3
-        ei = kidx[excl_pos]
-        eui = ui[ei]
+        eui = self._tbl_row[r[ei]]
         m = tbl.n[eui] - 1
-        delta = sims_flat[seg[excl_pos] + (excl_row - tbl.seg_start[eui])]
+        delta = sims_flat[pair_seg[ei] + (excl_row - tbl.seg_start[eui])]
         d_votes = tbl.hist_votes[excl_row]
         nz = m > 0
         inz, mm = ei[nz], m[nz]
         if inz.size:
             x[inz, c_n_answers] = mm.astype(float)
-            x[inz, c_ratio] = mm / (1.0 + asked[inz])
+            x[inz, c_ratio] = mm / (1.0 + self._asked[r[inz]])
             x[inz, c_votes] = tbl.votes_sum[eui[nz]] - d_votes[nz]
             # Leave-one-out median by index arithmetic on the sorted
             # times: removing sorted position p shifts indices >= p
@@ -562,44 +591,42 @@ class FeatureExtractor:
             g[inz] -= delta[nz]
             e[inz] -= delta[nz] * d_votes[nz]
         # m == 0: the lone history row is the target thread itself —
-        # empty-history defaults, exactly as the scalar path.
+        # the empty-history defaults.
         iz = ei[~nz]
         if iz.size:
             x[iz, c_n_answers] = 0.0
             x[iz, c_ratio] = 0.0
             x[iz, c_votes] = 0.0
-            x[iz, c_median] = self._global_median_response
+            x[iz, c_median] = self.frozen.global_median_response
             d_u[iz] = self._uniform
             g[iz] = 0.0
             e[iz] = 0.0
 
     def _slow_exclusion(
         self,
+        user: int,
+        tid: int,
+        asked: float,
+        row_sims: np.ndarray,
         i: int,
-        users: list[int],
-        tids: list[int],
-        asked: np.ndarray,
-        sims_flat: np.ndarray,
-        seg_lo: int,
-        seg_hi: int,
         d_u: np.ndarray,
         g: np.ndarray,
         e: np.ndarray,
         x: np.ndarray,
     ) -> None:
-        """Masked fallback for a pair whose user answered some thread
-        more than once (pre-preprocessing data): mirrors the scalar
-        path row for row."""
+        """Masked fallback for pair ``i``, whose user answered some
+        thread more than once (pre-preprocessing data); ``row_sims`` are
+        the pair's per-history-row similarities."""
         c_n_answers, c_ratio, c_votes, c_median = 0, 1, 2, 3
-        history = self._histories[users[i]]
-        mask = history.answered_thread_ids != tids[i]
+        history = self.frozen.histories[user]
+        mask = history.answered_thread_ids != tid
         if mask.all():
             return  # target thread not in history: base values stand
         if mask.any():
             votes_v = history.answer_votes
-            row_sims = sims_flat[seg_lo:seg_hi][mask]
+            row_sims = row_sims[mask]
             x[i, c_n_answers] = float(mask.sum())
-            x[i, c_ratio] = float(mask.sum()) / (1.0 + asked[i])
+            x[i, c_ratio] = float(mask.sum()) / (1.0 + asked)
             x[i, c_votes] = float(votes_v[mask].sum())
             x[i, c_median] = float(np.median(history.response_times[mask]))
             d_u[i] = history.answer_topic_vectors[mask].mean(axis=0)
@@ -609,38 +636,7 @@ class FeatureExtractor:
             x[i, c_n_answers] = 0.0
             x[i, c_ratio] = 0.0
             x[i, c_votes] = 0.0
-            x[i, c_median] = self._global_median_response
+            x[i, c_median] = self.frozen.global_median_response
             d_u[i] = self._uniform
             g[i] = 0.0
             e[i] = 0.0
-
-    def _discussed_matrix(
-        self, entities: list[int], tids: list[int]
-    ) -> np.ndarray:
-        """Rows of ``_topics_discussed(entity, tid)`` for a pair block.
-
-        The no-exclusion vector is cached per entity across batches
-        (extractor state is immutable); the exclusion-adjusted vectors
-        — every asker hits this for their own thread — are memoized per
-        (entity, tid) within the batch.
-        """
-        k = self.topics.n_topics
-        out = np.empty((len(entities), k))
-        base = self._discussed_base
-        adjusted: dict[tuple[int, int], np.ndarray] = {}
-        for i, (u, tid) in enumerate(zip(entities, tids)):
-            per_thread = self._discussed_by_thread.get(u)
-            if per_thread is not None and tid in per_thread:
-                key = (u, tid)
-                vec = adjusted.get(key)
-                if vec is None:
-                    vec = self._topics_discussed(u, tid)
-                    adjusted[key] = vec
-                out[i] = vec
-                continue
-            vec = base.get(u)
-            if vec is None:
-                vec = self._topics_discussed(u, _NO_THREAD)
-                base[u] = vec
-            out[i] = vec
-        return out

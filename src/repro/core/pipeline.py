@@ -315,7 +315,7 @@ class ForumPredictor:
     def predict(self, user: int, thread: Thread) -> Prediction:
         """Joint prediction for a single pair."""
         self._check_fitted()
-        x = self.extractor.features(user, thread)[None, :]
+        x = self.extractor.feature_matrix([(user, thread)])
         horizon = self._horizons([thread])
         return Prediction(
             answer_probability=float(self.answer_model.predict_proba(x)[0]),

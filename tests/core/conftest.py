@@ -1,8 +1,16 @@
 """Shared fixtures for core tests: a small preprocessed forum + extractor."""
 
+from dataclasses import replace
+
 import pytest
 
-from repro.core import PredictorConfig, build_extractor, build_pair_dataset
+from repro.core import (
+    OnlineConfig,
+    PredictorConfig,
+    build_extractor,
+    build_pair_dataset,
+)
+from repro.core.serving import RecommendationService, ServingCore
 from repro.forum import ForumConfig, generate_forum
 
 SMALL_CONFIG = ForumConfig(n_users=250, n_questions=320, activity_tail=1.4)
@@ -38,3 +46,14 @@ def extractor(dataset):
 @pytest.fixture(scope="session")
 def pairs(dataset, extractor):
     return build_pair_dataset(dataset, extractor, seed=0)
+
+
+@pytest.fixture(scope="session")
+def serving_core(dataset):
+    """A ServingCore warmed on the whole forum (short model fits: the
+    features do not depend on the heads)."""
+    cfg = replace(PREDICTOR_CONFIG, vote_epochs=5, timing_epochs=5)
+    core = ServingCore(cfg, OnlineConfig())
+    RecommendationService(core).warm(dataset)
+    assert core.warmed
+    return core

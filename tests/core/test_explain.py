@@ -53,7 +53,7 @@ class TestLinearExactness:
         thread = dataset.threads[0]
         exp = explain_prediction(fitted, user, thread)
         total = sum(c.contribution for c in exp.answer)
-        x = fitted.extractor.features(user, thread)[None, :]
+        x = fitted.extractor.feature_matrix([(user, thread)])
         p = fitted.answer_model.predict_proba(x)[0]
         logit = np.log(p / (1 - p))
         intercept = fitted.answer_model.classifier.intercept_

@@ -24,17 +24,12 @@ import hashlib
 import itertools
 import json
 import os
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from repro.core import OnlineConfig
-from repro.core.serving import RecommendationService, ServingCore
 from repro.core.serving.service import OnlineReport
 from repro.forum.models import Thread
-
-from .conftest import PREDICTOR_CONFIG
 
 GOLDEN_PATH = (
     Path(__file__).resolve().parents[1] / "golden" / "feature_digests.json"
@@ -90,15 +85,6 @@ def mixed_interleaved(dataset):
     for a, b in itertools.zip_longest(seen, unseen):
         pairs += [p for p in (a, b) if p is not None]
     return pairs
-
-
-@pytest.fixture(scope="module")
-def serving_core(dataset):
-    cfg = replace(PREDICTOR_CONFIG, vote_epochs=5, timing_epochs=5)
-    core = ServingCore(cfg, OnlineConfig())
-    RecommendationService(core).warm(dataset)
-    assert core.warmed
-    return core
 
 
 def serving_digest(core, dataset) -> str:

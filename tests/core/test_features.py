@@ -4,6 +4,11 @@ import numpy as np
 import pytest
 
 
+def features(extractor, user, thread):
+    """The x_uq vector of one pair, through a one-row feature matrix."""
+    return extractor.feature_matrix([(user, thread)])[0]
+
+
 def pick_answered_pair(dataset):
     """An (answerer, thread) pair where the answerer has other answers too."""
     counts = dataset.answers_per_user()
@@ -17,7 +22,7 @@ def pick_answered_pair(dataset):
 class TestVectorShape:
     def test_dimension(self, extractor, dataset):
         user, thread = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         assert x.shape == (extractor.spec.n_features,)
         assert np.all(np.isfinite(x))
 
@@ -37,21 +42,21 @@ class TestUserFeatures:
         """a_u must not count the user's answer to the target thread."""
         user, thread = pick_answered_pair(dataset)
         total = dataset.answers_per_user()[user]
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         col = extractor.spec.columns_of("answers_provided")[0]
         assert x[col] == total - 1
 
     def test_answers_for_nonparticipant(self, extractor, dataset):
         user, thread = pick_answered_pair(dataset)
         other = next(t for t in dataset if user not in t.answerers)
-        x = extractor.features(user, other)
+        x = features(extractor, user, other)
         col = extractor.spec.columns_of("answers_provided")[0]
         assert x[col] == dataset.answers_per_user()[user]
 
     def test_unknown_user_defaults(self, extractor, dataset):
         """A user absent from the window gets zero activity, uniform topics."""
         thread = dataset.threads[0]
-        x = extractor.features(999_999, thread)
+        x = features(extractor, 999_999, thread)
         spec = extractor.spec
         assert x[spec.columns_of("answers_provided")[0]] == 0.0
         assert x[spec.columns_of("net_answer_votes")[0]] == 0.0
@@ -67,7 +72,7 @@ class TestUserFeatures:
             for t in dataset
             if user in t.answerers and t.thread_id != thread.thread_id
         )
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         col = extractor.spec.columns_of("net_answer_votes")[0]
         assert x[col] == pytest.approx(expected)
 
@@ -78,7 +83,7 @@ class TestUserFeatures:
             for t in dataset
             if user in t.answerers and t.thread_id != thread.thread_id
         ]
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         col = extractor.spec.columns_of("median_response_time")[0]
         assert x[col] == pytest.approx(np.median(times))
 
@@ -86,7 +91,7 @@ class TestUserFeatures:
         user, thread = pick_answered_pair(dataset)
         asked = sum(1 for t in dataset if t.asker == user)
         answered = dataset.answers_per_user()[user] - 1  # excl. target
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         col = extractor.spec.columns_of("answer_ratio")[0]
         assert x[col] == pytest.approx(answered / (1 + asked))
 
@@ -94,20 +99,20 @@ class TestUserFeatures:
 class TestQuestionFeatures:
     def test_question_votes(self, extractor, dataset):
         thread = dataset.threads[0]
-        x = extractor.features(999_999, thread)
+        x = features(extractor, 999_999, thread)
         col = extractor.spec.columns_of("net_question_votes")[0]
         assert x[col] == thread.question.votes
 
     def test_lengths_positive(self, extractor, dataset):
         thread = dataset.threads[0]
-        x = extractor.features(999_999, thread)
+        x = features(extractor, 999_999, thread)
         spec = extractor.spec
         assert x[spec.columns_of("question_word_length")[0]] > 0
         assert x[spec.columns_of("question_code_length")[0]] > 0
 
     def test_topics_asked_simplex(self, extractor, dataset):
         thread = dataset.threads[0]
-        x = extractor.features(999_999, thread)
+        x = features(extractor, 999_999, thread)
         d_q = x[extractor.spec.columns_of("topics_asked")]
         assert d_q.sum() == pytest.approx(1.0)
 
@@ -126,7 +131,7 @@ class TestQuestionFeatures:
         )
         thread = Thread(question=q)
         user, _ = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         assert np.all(np.isfinite(x))
         assert x[extractor.spec.columns_of("net_question_votes")[0]] == 2
 
@@ -134,7 +139,7 @@ class TestQuestionFeatures:
 class TestUserQuestionFeatures:
     def test_similarity_bounds(self, extractor, dataset):
         user, thread = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         spec = extractor.spec
         s_uq = x[spec.columns_of("user_question_topic_similarity")[0]]
         s_uv = x[spec.columns_of("user_user_topic_similarity")[0]]
@@ -144,7 +149,7 @@ class TestUserQuestionFeatures:
     def test_g_uq_bounded_by_answer_count(self, extractor, dataset):
         """g_uq sums similarities in [0,1] over answered questions."""
         user, thread = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         spec = extractor.spec
         g_uq = x[spec.columns_of("topic_weighted_questions_answered")[0]]
         n_answers = x[spec.columns_of("answers_provided")[0]]
@@ -152,7 +157,7 @@ class TestUserQuestionFeatures:
 
     def test_zero_history_zero_weighted(self, extractor, dataset):
         thread = dataset.threads[0]
-        x = extractor.features(999_999, thread)
+        x = features(extractor, 999_999, thread)
         spec = extractor.spec
         assert x[spec.columns_of("topic_weighted_questions_answered")[0]] == 0.0
         assert x[spec.columns_of("topic_weighted_answer_votes")[0]] == 0.0
@@ -161,7 +166,7 @@ class TestUserQuestionFeatures:
 class TestSocialFeatures:
     def test_cooccurrence_excludes_target(self, extractor, dataset):
         user, thread = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         col = extractor.spec.columns_of("thread_cooccurrence")[0]
         shared = sum(
             1
@@ -174,7 +179,7 @@ class TestSocialFeatures:
 
     def test_answerer_centralities_positive(self, extractor, dataset):
         user, thread = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         spec = extractor.spec
         # Heavy answerers are well-connected: closeness must be positive.
         assert x[spec.columns_of("qa_closeness")[0]] > 0
@@ -182,7 +187,7 @@ class TestSocialFeatures:
 
     def test_resource_allocation_nonnegative(self, extractor, dataset):
         user, thread = pick_answered_pair(dataset)
-        x = extractor.features(user, thread)
+        x = features(extractor, user, thread)
         spec = extractor.spec
         assert x[spec.columns_of("qa_resource_allocation")[0]] >= 0
         assert x[spec.columns_of("dense_resource_allocation")[0]] >= 0

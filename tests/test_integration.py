@@ -138,8 +138,8 @@ class TestRobustness:
         threads[0] = Thread(question=empty_question, answers=victim.answers)
         patched = ForumDataset(threads)
         extractor = build_extractor(patched, FAST)
-        x = extractor.features(
-            next(iter(patched.answerers)), patched.threads[0]
+        x = extractor.feature_matrix(
+            [(next(iter(patched.answerers)), patched.threads[0])]
         )
         assert np.all(np.isfinite(x))
 
@@ -173,7 +173,7 @@ class TestRobustness:
         dataset = tiny_forum(seed=4)
         window = ForumDataset([dataset.threads[0]])
         extractor = build_extractor(window, FAST)
-        x = extractor.features(12345, dataset.threads[-1])
+        x = extractor.feature_matrix([(12345, dataset.threads[-1])])
         assert np.all(np.isfinite(x))
 
 

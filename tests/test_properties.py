@@ -79,7 +79,7 @@ class TestFeatureProperties:
         for _ in range(10):
             user = users[rng.integers(len(users))]
             thread = clean.threads[rng.integers(len(clean))]
-            x = extractor.features(user, thread)
+            x = extractor.feature_matrix([(user, thread)])[0]
             assert np.all(np.isfinite(x))
             # Topic-distribution blocks lie on the simplex.
             for name in ("topics_answered", "topics_asked"):
