@@ -64,6 +64,25 @@ def _id_array(ids: Iterable, count: int) -> np.ndarray:
     return np.fromiter(ids, dtype=np.int64, count=count)
 
 
+def _unique(values: np.ndarray) -> np.ndarray:
+    """Sorted distinct values.  Sort-based: ``np.unique`` takes a hash
+    path that is an order of magnitude slower at these sizes."""
+    values = np.sort(values)
+    if values.size:
+        values = values[np.r_[True, values[1:] != values[:-1]]]
+    return values
+
+
+def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges ``[starts[i], starts[i] + lengths[i])``,
+    concatenated in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
 class FeatureExtractor:
     """Computes x_uq vectors over a fixed feature window."""
 
@@ -128,10 +147,13 @@ class FeatureExtractor:
         self._extra_question_info: OrderedDict[int, QuestionInfo] = OrderedDict()
         self.qa_graph: UndirectedGraph = frozen.qa_graph
         self.dense_graph: UndirectedGraph = frozen.dense_graph
-        # Asker row -> sparse (rows, values) social columns; see
-        # _asker_memo.  At most one entry per window user that asks.
-        self._memo: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._compile(frozen)
+        # The asker memo (see _extend_memo): sorted keys
+        # ``asker_row * n_rows + row`` with their (n, 3) social values,
+        # and which asker rows it holds.
+        self._memo_key = np.empty(0, dtype=np.int64)
+        self._memo_values = np.empty((0, 3))
+        self._memoized = np.zeros(self._user_ids.size, dtype=bool)
 
     @property
     def window_fingerprint(self) -> str:
@@ -158,7 +180,7 @@ class FeatureExtractor:
             frozen.dense_closeness,
             frozen.dense_betweenness,
         ]
-        ids = np.unique(
+        ids = _unique(
             np.concatenate(
                 [_id_array(d, len(d)) for d in users_of]
                 + [
@@ -198,7 +220,7 @@ class FeatureExtractor:
         self._disc = np.tile(self._uniform, (n_rows, 1))
         disc_users = list(frozen.discussed_sum)
         disc_sum = np.array(list(frozen.discussed_sum.values())).reshape(
-            len(disc_users), self.topics.n_topics
+            -1, self.topics.n_topics
         )
         disc_count = np.array(
             [frozen.discussed_count[u] for u in disc_users], dtype=np.int64
@@ -237,40 +259,39 @@ class FeatureExtractor:
         none), the user's discussed topics with the thread left out, and
         whether the user took part in the thread."""
         n_rows = self._user_ids.size
+        k = self.topics.n_topics
         row_of = frozen.batch_tables.row_of
-        hist_keys = _id_array((t for _, t in row_of), len(row_of)) * n_rows
-        hist_keys += self._rows(_id_array((u for u, _ in row_of), len(row_of)))
+        user_tid = np.array(list(row_of), dtype=np.int64).reshape(-1, 2)
+        hist_keys = user_tid[:, 1] * n_rows + self._rows(user_tid[:, 0])
 
-        index_of = {u: i for i, u in enumerate(disc_users)}
-        owner, tids, vecs, n_posts = [], [], [], []
-        for u, per_thread in frozen.discussed_by_thread.items():
-            i = index_of.get(u)
-            if i is None:
-                continue  # no totals: the uniform default stands
-            for tid, (vec, n) in per_thread.items():
-                owner.append(i)
-                tids.append(tid)
-                vecs.append(vec)
-                n_posts.append(n)
-        owner = np.asarray(owner, dtype=np.int64)
+        per_user = [frozen.discussed_by_thread.get(u, {}) for u in disc_users]
+        owner = np.repeat(
+            np.arange(len(disc_users)), [len(p) for p in per_user]
+        )
+        tids = [tid for p in per_user for tid in p]
+        contribs = [c for p in per_user for c in p.values()]
         disc_rows = self._rows(_id_array(disc_users, len(disc_users)))
         disc_keys = _id_array(tids, len(tids)) * n_rows + disc_rows[owner]
-        remaining = disc_count[owner] - np.asarray(n_posts, dtype=np.int64)
+        remaining = disc_count[owner] - np.array(
+            [n for _, n in contribs], dtype=np.int64
+        )
         left_out = np.tile(self._uniform, (owner.size, 1))
         ok = remaining > 0
         left_out[ok] = (
             disc_sum[owner[ok]]
-            - np.array(vecs).reshape(owner.size, self.topics.n_topics)[ok]
+            - np.array([v for v, _ in contribs]).reshape(-1, k)[ok]
         ) / remaining[ok, None]
 
-        members, member_tids = [], []
-        for u, thread_ids in frozen.thread_sets.items():
-            members.extend([u] * len(thread_ids))
-            member_tids.extend(thread_ids)
-        member_keys = _id_array(member_tids, len(member_tids)) * n_rows
-        member_keys += self._rows(_id_array(members, len(members)))
+        thread_sets = frozen.thread_sets
+        member_keys = _id_array(
+            (tid for s in thread_sets.values() for tid in s),
+            sum(len(s) for s in thread_sets.values()),
+        ) * n_rows + np.repeat(
+            self._rows(_id_array(thread_sets, len(thread_sets))),
+            [len(s) for s in thread_sets.values()],
+        )
 
-        keys = np.union1d(np.union1d(hist_keys, disc_keys), member_keys)
+        keys = _unique(np.concatenate([hist_keys, disc_keys, member_keys]))
         self._thread_key = keys
         self._thread_hrow = np.full(keys.size, -1, dtype=np.int64)
         self._thread_hrow[np.searchsorted(keys, hist_keys)] = np.fromiter(
@@ -280,16 +301,21 @@ class FeatureExtractor:
         self._thread_disc[np.searchsorted(keys, disc_keys)] = left_out
         self._thread_member = np.zeros(keys.size, dtype=bool)
         self._thread_member[np.searchsorted(keys, member_keys)] = True
-        # thread id -> participant rows, for the asker memo's counts.
+        # Participation in CSR form both ways, for the asker memo:
+        # thread -> member rows and user row -> thread indices.
         member_keys = np.sort(member_keys)
-        member_tid = member_keys // n_rows
-        starts = np.flatnonzero(np.diff(member_tid, prepend=-1))
-        self._members = dict(
-            zip(
-                member_tid[starts].tolist(),
-                np.split(member_keys % n_rows, starts[1:]),
-            )
+        member_rows = member_keys % n_rows
+        first = np.diff(member_keys // n_rows, prepend=-1) != 0
+        self._thread_ptr = np.append(np.flatnonzero(first), member_keys.size)
+        self._thread_members = member_rows
+        thread_index = np.cumsum(first) - 1
+        self._user_ptr = np.zeros(n_rows + 1, dtype=np.int64)
+        np.cumsum(
+            np.bincount(member_rows, minlength=n_rows), out=self._user_ptr[1:]
         )
+        self._user_threads = thread_index[
+            np.argsort(member_rows, kind="stable")
+        ]
 
     def _rows(self, users: np.ndarray) -> np.ndarray:
         """User row per user id; the sentinel row for unknown users."""
@@ -309,47 +335,71 @@ class FeatureExtractor:
         hit = np.flatnonzero(table[pos] == keys)
         return hit, pos[hit]
 
-    def _asker_memo(self, a_row: int) -> tuple[np.ndarray, np.ndarray]:
-        """The asker's sparse social columns: (user rows, (n, 3) values)
-        holding the shared-thread count ``|S_u & S_a|`` and the RAI on
-        the QA and dense graphs.  Rows cover the asker's co-participants
-        and two-hop neighbourhood in either graph; every other user's
-        three values are exactly zero.  The RAI values come from the
+    def _extend_memo(self, askers: np.ndarray) -> None:
+        """Add the memo entries of ``askers`` (window user rows).
+
+        Per asker, the entries cover its co-participants and its
+        two-hop neighbourhood in either graph and hold three values:
+        the shared-thread count ``|S_u & S_a|`` and the RAI on the QA
+        and dense graphs.  Every user outside the entries has all three
+        exactly zero, and so has the RAI of a co-participant outside the
+        two-hop neighbourhood.  The other RAI values start as NaN and
+        are filled on first use by :meth:`_fill_rai`.
+        """
+        n_rows = self._user_ids.size
+        lengths = np.diff(self._user_ptr)[askers]
+        threads = self._user_threads[_segments(self._user_ptr[askers], lengths)]
+        owner = np.repeat(askers, lengths)
+        lengths = np.diff(self._thread_ptr)[threads]
+        members = self._thread_members[
+            _segments(self._thread_ptr[threads], lengths)
+        ]
+        shared_keys, shared = np.unique(
+            np.repeat(owner, lengths) * n_rows + members, return_counts=True
+        )
+        two_hop_users: list[int] = []
+        owners: list[int] = []
+        for a_row, asker in zip(
+            askers.tolist(), self._user_ids[askers].tolist()
+        ):
+            two_hop: set[int] = set()
+            for graph in (self.qa_graph, self.dense_graph):
+                if asker in graph:
+                    for nbr in graph.neighbors(asker):
+                        two_hop |= graph.neighbors(nbr)
+            two_hop_users.extend(two_hop)
+            owners.extend([a_row] * len(two_hop))
+        two_hop_keys = np.asarray(owners, dtype=np.int64) * n_rows + self._rows(
+            _id_array(two_hop_users, len(two_hop_users))
+        )
+        keys = _unique(np.concatenate([shared_keys, two_hop_keys]))
+        values = np.zeros((keys.size, 3))
+        values[np.searchsorted(keys, shared_keys), 0] = shared
+        values[np.searchsorted(keys, two_hop_keys), 1:] = np.nan
+        keys = np.concatenate([self._memo_key, keys])
+        order = np.argsort(keys, kind="stable")
+        self._memo_key = keys[order]
+        self._memo_values = np.concatenate([self._memo_values, values])[order]
+        self._memoized[askers] = True
+
+    def _fill_rai(self, entries: np.ndarray) -> None:
+        """Compute the memo's pending RAI values at ``entries`` from the
         same ``(user, asker)`` tuples a per-pair call would use, so each
         keeps its summation order."""
-        memo = self._memo.get(a_row)
-        if memo is not None:
-            return memo
-        asker = int(self._user_ids[a_row])
-        thread_ids = self.frozen.thread_sets.get(asker, ())
-        shared_rows, shared = (
-            np.unique(
-                np.concatenate([self._members[t] for t in thread_ids]),
-                return_counts=True,
+        n_rows = self._user_ids.size
+        keys = self._memo_key[entries]
+        pairs = list(
+            zip(
+                self._user_ids[keys % n_rows].tolist(),
+                self._user_ids[keys // n_rows].tolist(),
             )
-            if thread_ids
-            else (np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
         )
-        two_hop: set[int] = set()
-        for graph in (self.qa_graph, self.dense_graph):
-            if asker in graph:
-                for nbr in graph.neighbors(asker):
-                    two_hop |= graph.neighbors(nbr)
-        nodes = sorted(two_hop)
-        pairs = [(u, asker) for u in nodes]
-        rai_rows = self._rows(_id_array(nodes, len(nodes)))
-        rows = np.union1d(shared_rows, rai_rows)
-        values = np.zeros((rows.size, 3))
-        values[np.searchsorted(rows, shared_rows), 0] = shared
-        values[np.searchsorted(rows, rai_rows), 1] = (
-            resource_allocation_indices(self.qa_graph, pairs)
+        self._memo_values[entries, 1] = resource_allocation_indices(
+            self.qa_graph, pairs
         )
-        values[np.searchsorted(rows, rai_rows), 2] = (
-            resource_allocation_indices(self.dense_graph, pairs)
+        self._memo_values[entries, 2] = resource_allocation_indices(
+            self.dense_graph, pairs
         )
-        memo = (rows, values)
-        self._memo[a_row] = memo
-        return memo
 
     # -- question info ----------------------------------------------------------
 
@@ -463,9 +513,7 @@ class FeatureExtractor:
             pair_seg[kidx] = seg[:-1]
             total = int(seg[-1])
             flat_pair = np.repeat(kidx, counts)
-            flat_rows = np.arange(total, dtype=np.int64) + np.repeat(
-                tbl.seg_start[kui] - seg[:-1], counts
-            )
+            flat_rows = _segments(tbl.seg_start[kui], counts)
             sims_flat = np.empty(total)
             chunk = max(1, self._SIM_CHUNK_ELEMENTS // max(1, k))
             for s in range(0, total, chunk):
@@ -514,24 +562,22 @@ class FeatureExtractor:
         x[:, c_euq] = e
         x[:, c_suv] = 1.0 - 0.5 * np.abs(t_user - t_asker[block]).sum(axis=1)
 
-        # h_uv, centralities and resource-allocation indices: the asker
-        # memos of the batch's askers, concatenated under keys
-        # ``asker_row * n_rows + row`` and gathered once.
-        memo_keys, memo_values = [], []
-        for a_row in np.unique(q_asker[q_asker < n_rows - 1]).tolist():
-            rows, values = self._asker_memo(a_row)
-            memo_keys.append(a_row * n_rows + rows)
-            memo_values.append(values)
+        # h_uv, centralities and resource-allocation indices, gathered
+        # from the asker memo; askers new to it are added first.
+        askers = _unique(q_asker[q_asker < n_rows - 1])
+        missing = askers[~self._memoized[askers]]
+        if missing.size:
+            self._extend_memo(missing)
+        hit, entry = self._lookup(q_asker[block] * n_rows + r, self._memo_key)
+        pending = _unique(entry[np.isnan(self._memo_values[entry, 1])])
+        if pending.size:
+            self._fill_rai(pending)
+        values = self._memo_values[entry]
         shared = np.zeros(n)
+        shared[hit] = values[:, 0]
         social = self._social[r]
-        if memo_keys:
-            hit, entry = self._lookup(
-                q_asker[block] * n_rows + r, np.concatenate(memo_keys)
-            )
-            values = np.concatenate(memo_values)[entry]
-            shared[hit] = values[:, 0]
-            social[hit, 2] = values[:, 1]
-            social[hit, 5] = values[:, 2]
+        social[hit, 2] = values[:, 1]
+        social[hit, 5] = values[:, 2]
         # The target thread itself does not count as shared.
         x[:, c_huv] = shared - (member & asker_member[block])
         x[:, c_social:] = social

@@ -299,16 +299,20 @@ class TestAskerMemo:
         self, serving_core, dataset
     ):
         extractor = serving_core._predictor.extractor
-        extractor._memo.clear()
+        # Rebinding the same snapshot starts an empty memo.
+        extractor._bind(extractor.frozen, extractor.topics, extractor.window)
         asker = busiest_asker(dataset)
         report = OnlineReport()
+        sizes = []
         for j in range(50):
             question = fresh_question(dataset, asker, offset=j)
             response = serving_core.route(
                 question, dataset.duration_hours, report
             )
             assert response.status == "ok"
-        assert len(extractor._memo) == 1
+            sizes.append(extractor._memo_key.size)
+        assert np.count_nonzero(extractor._memoized) == 1
+        assert sizes[0] > 0 and len(set(sizes)) == 1
 
 
 class TestPerfInstrumentation:
