@@ -135,6 +135,7 @@ def test_feature_matrix_throughput(benchmark, dataset, extractor):
         f"({len(train)} pairs), serving "
         f"{serve_seconds / len(blocks) * 1e3:.3f} ms/question "
         f"({n_serve // len(blocks)} candidates), "
-        f"{oracle_seconds / train_seconds:.1f}x the oracle -> {RESULT_PATH.name}"
+        f"{oracle_seconds / train_seconds:.1f}x the oracle "
+        f"-> {RESULT_PATH.name}"
     )
     assert oracle_seconds / train_seconds >= MIN_SPEEDUP

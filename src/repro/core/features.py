@@ -12,16 +12,18 @@ throwaway state) or, on the streaming path, from a long-lived state via
 per-user block and centrality table that did not change since the last
 refit.
 
-Binding compiles the snapshot once into gather tables indexed by one
-*user row* per window user (plus a sentinel row, holding the
-no-evidence defaults, for every user the window does not know), and
-into two per-thread inverses: the participants of each thread (for
-``h_uv``) and the (user, history row, discussed-topic vector) entries
-of each thread (for the leakage guard).  :meth:`feature_matrix` then
-groups pairs by question and featurizes each group as one *block* —
-one thread against an array of users — almost entirely with array
-gathers.  The resource-allocation indices are memoized per asker as a
-sparse (two-hop rows, values) pair.
+Binding compiles the snapshot once per refit epoch into gather tables
+indexed by one *user row* per window user, plus a sentinel row holding
+the no-evidence defaults for every user the window does not know, and
+into one sorted *thread inverse* over (thread, user row) entries that
+carries the leakage guard's history rows, the discussed topics with
+that thread left out, and thread participation.
+:meth:`FeatureExtractor.feature_matrix` groups pairs into one block per
+question and fills every column with array gathers by user row and
+block.  The one lazily grown structure is the *asker memo*: per asker,
+the sparse shared-thread counts and resource-allocation indices over
+its co-participants and two-hop neighbourhood; every other user's
+values are exactly zero.
 
 Leakage guard: when the target thread itself lies inside the window,
 all user-side aggregates (answer counts, votes, response times, topic
@@ -348,7 +350,9 @@ class FeatureExtractor:
         """
         n_rows = self._user_ids.size
         lengths = np.diff(self._user_ptr)[askers]
-        threads = self._user_threads[_segments(self._user_ptr[askers], lengths)]
+        threads = self._user_threads[
+            _segments(self._user_ptr[askers], lengths)
+        ]
         owner = np.repeat(askers, lengths)
         lengths = np.diff(self._thread_ptr)[threads]
         members = self._thread_members[
@@ -369,9 +373,8 @@ class FeatureExtractor:
                         two_hop |= graph.neighbors(nbr)
             two_hop_users.extend(two_hop)
             owners.extend([a_row] * len(two_hop))
-        two_hop_keys = np.asarray(owners, dtype=np.int64) * n_rows + self._rows(
-            _id_array(two_hop_users, len(two_hop_users))
-        )
+        two_hop_keys = np.asarray(owners, dtype=np.int64) * n_rows
+        two_hop_keys += self._rows(np.asarray(two_hop_users, dtype=np.int64))
         keys = _unique(np.concatenate([shared_keys, two_hop_keys]))
         values = np.zeros((keys.size, 3))
         values[np.searchsorted(keys, shared_keys), 0] = shared

@@ -76,12 +76,6 @@ __all__ = [
     "frozen_from_columns",
 ]
 
-# Historical aliases: the freeze artifacts moved to ``core.columnar``;
-# existing imports keep working.
-_UserHistory = UserHistory
-_UserSummary = UserSummary
-_BatchTables = BatchTables
-
 # Compaction triggers once dead rows outnumber live ones *and* there is
 # enough garbage for the rewrite to pay for itself.
 _COMPACT_MIN_DEAD = 1024

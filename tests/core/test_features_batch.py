@@ -17,7 +17,7 @@ from repro import perf
 from repro.core import build_extractor
 from repro.core.features import FeatureExtractor
 from repro.core.serving.service import OnlineReport
-from repro.forum.models import Post, Thread
+from repro.forum.models import Thread
 from repro.graphs import UndirectedGraph
 
 from ..feature_oracle import scalar_matrix
@@ -45,11 +45,13 @@ def fresh_question(dataset, asker, offset=0):
     far above the window's, clear of other modules' fresh questions:
     out-of-window question info and post topics are cached by id."""
     source = dataset.threads[-1 - offset]
-    tid = max(t.thread_id for t in dataset) + FRESH_ID_BASE + offset
-    post = max(p.post_id for t in dataset for p in t.posts) + FRESH_ID_BASE + offset
+    base = FRESH_ID_BASE + offset
     return Thread(
         dataclasses.replace(
-            source.question, thread_id=tid, post_id=post, author=asker
+            source.question,
+            thread_id=max(t.thread_id for t in dataset) + base,
+            post_id=max(p.post_id for t in dataset for p in t.posts) + base,
+            author=asker,
         )
     )
 
