@@ -210,21 +210,31 @@ class TestBlockEdgeCases:
             assert not x[:, spec.columns_of(name)[0]].any()
         assert_equivalent(extractor, pairs)
 
-    def test_asker_absent_from_one_graph(self, extractor, dataset):
-        """Dense-graph RAI survives while the QA column drops to zero."""
+    @pytest.mark.parametrize(
+        "dropped, kept",
+        [("qa_graph", "dense_graph"), ("dense_graph", "qa_graph")],
+    )
+    def test_asker_absent_from_one_graph(
+        self, extractor, dataset, dropped, kept
+    ):
+        """The other graph's RAI survives while the dropped graph's
+        column falls to zero."""
         asker = busiest_asker(dataset)
-        qa = UndirectedGraph()
-        for u, v in extractor.qa_graph.edges():
+        graph = UndirectedGraph()
+        for u, v in getattr(extractor, dropped).edges():
             if asker not in (u, v):
-                qa.add_edge(u, v)
-        ex = rebound(extractor, qa_graph=qa)
+                graph.add_edge(u, v)
+        ex = rebound(extractor, **{dropped: graph})
         own = [t for t in dataset if t.asker == asker]
         pairs = block_pairs(dataset, own[0])
         pairs += block_pairs(dataset, fresh_question(dataset, asker))
         x = ex.feature_matrix(pairs)
-        spec = ex.spec
-        assert not x[:, spec.columns_of("qa_resource_allocation")[0]].any()
-        assert x[:, spec.columns_of("dense_resource_allocation")[0]].any()
+        column = {
+            "qa_graph": "qa_resource_allocation",
+            "dense_graph": "dense_resource_allocation",
+        }
+        assert not x[:, ex.spec.columns_of(column[dropped])[0]].any()
+        assert x[:, ex.spec.columns_of(column[kept])[0]].any()
         assert_equivalent(ex, pairs)
 
     def test_asker_without_thread_set(self, extractor, dataset):
