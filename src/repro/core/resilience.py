@@ -428,6 +428,9 @@ class StreamGuard:
                 f"question {question.post_id} has no body text",
             )
         changed = shift != 0.0
+        # Where the rounding of ``timestamp + shift`` lands one ulp
+        # behind the stream clock, the clamp holds the clock itself.
+        start = max(question.timestamp + shift, self._last_created)
         if not math.isfinite(float(question.votes)):
             self.report.add(
                 seq,
@@ -487,15 +490,15 @@ class StreamGuard:
                 fixed = replace(fixed, votes=0)
                 changed = True
             if shift:
-                fixed = replace(fixed, timestamp=fixed.timestamp + shift)
+                fixed = replace(
+                    fixed, timestamp=max(fixed.timestamp + shift, start)
+                )
             local_posts.add(answer.post_id)
             kept.append(fixed)
         if changed:
             admitted = Thread(
                 question=(
-                    replace(question, timestamp=question.timestamp + shift)
-                    if shift
-                    else question
+                    replace(question, timestamp=start) if shift else question
                 ),
                 answers=kept,
             )

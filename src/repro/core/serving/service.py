@@ -174,10 +174,6 @@ class _PreparedQuery:
     pool: np.ndarray | None
     rank_candidates: list[int]
 
-    @property
-    def rank_pairs(self) -> list[tuple[int, Thread]]:
-        return [(u, self.thread) for u in self.rank_candidates]
-
 
 @dataclass
 class RouteResponse:
@@ -689,22 +685,17 @@ class ServingCore:
                 sizes = [
                     len(prepared_list[i].rank_candidates) for i in missed
                 ]
-                pairs: list[tuple[int, Thread]] = []
-                for i in missed:
-                    pairs.extend(prepared_list[i].rank_pairs)
+                pairs = [
+                    (u, prepared_list[i].thread)
+                    for i in missed
+                    for u in prepared_list[i].rank_candidates
+                ]
                 x = predictor.extractor.feature_matrix(pairs)
-                horizons = np.concatenate(
-                    [
-                        np.full(
-                            size,
-                            float(
-                                predictor._horizons(
-                                    [prepared_list[i].thread]
-                                )[0]
-                            ),
-                        )
-                        for i, size in zip(missed, sizes)
-                    ]
+                horizons = np.repeat(
+                    predictor._horizons(
+                        [prepared_list[i].thread for i in missed]
+                    ),
+                    sizes,
                 )
                 predictions = predictor.predict_matrix(x, horizons)
             start = 0

@@ -96,7 +96,8 @@ def serving_digest(core, dataset) -> str:
             question, dataset.duration_hours, report
         )
         assert status == "ok"
-        h.update(extractor.feature_matrix(prepared.rank_pairs).tobytes())
+        pairs = [(u, question) for u in prepared.rank_candidates]
+        h.update(extractor.feature_matrix(pairs).tobytes())
     return h.hexdigest()
 
 

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import PredictorConfig, build_extractor
@@ -177,6 +177,20 @@ class TestResilienceProperties:
 
     @settings(max_examples=15, deadline=None)
     @given(fault_plans(), st.integers(0, 200))
+    # A late arrival whose clamped timestamp, ``timestamp + shift``,
+    # rounded one ulp behind the stream clock.
+    @example(
+        FaultPlan(
+            seed=112,
+            out_of_order_rate=0.5,
+            duplicate_rate=0.5,
+            missing_field_rate=0.5,
+            clock_skew_rate=0.5,
+            truncate_rate=0.5,
+            max_delay_slots=2,
+        ),
+        73,
+    )
     def test_guarded_stream_is_monotone_and_finite(self, plan, seed):
         forum = generate_forum(
             ForumConfig(n_users=50, n_questions=45), seed=seed
