@@ -259,7 +259,8 @@ class FeatureExtractor:
         thread's participant set, keyed ``tid * n_rows + row`` and
         sorted.  An entry holds the history row for the thread (-1 if
         none), the user's discussed topics with the thread left out, and
-        whether the user took part in the thread."""
+        whether the user took part in the thread.  Thread ids are
+        non-negative and fit ``ID_DTYPE`` (int32), so keys fit int64."""
         n_rows = self._user_ids.size
         k = self.topics.n_topics
         row_of = frozen.batch_tables.row_of
