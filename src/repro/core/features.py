@@ -478,7 +478,16 @@ class FeatureExtractor:
         block = np.asarray(block_list, dtype=np.int64)
         r = self._rows(_id_array((u for u, _ in pairs), n))
 
-        # Question features (vi)-(ix), resolved once per block.
+        # Question features (vi)-(ix), resolved once per block; the
+        # questions with no info yet get their d(q) in one inference pass.
+        unseen = [
+            t.question
+            for t in threads
+            if t.thread_id not in self._question_info
+            and t.thread_id not in self._extra_question_info
+        ]
+        if unseen:
+            self.topics.post_topics_many(unseen)
         infos = [self._question_info_for(t) for t in threads]
         q_scalars = np.asarray(
             [(i.votes, i.word_length, i.code_length) for i in infos]

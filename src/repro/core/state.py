@@ -323,6 +323,10 @@ class ForumState:
         with perf.timer("state.append"):
             self._last_created = thread.created_at
             self._threads[tid] = thread
+            # Every post of the thread in one inference pass; the
+            # question's info below reads its vector from the cache.
+            posts = thread.posts
+            post_topics = self.topics.post_topics_many(posts)
             info = question_info_from_thread(thread, self.topics)
             self._question_info[tid] = info
             asker = thread.asker
@@ -339,9 +343,7 @@ class ForumState:
                     timestamps,
                     timestamps - thread.created_at,
                     info.topics,
-                    np.stack(
-                        [self.topics.post_topics(a) for a in answers]
-                    ),
+                    np.stack(post_topics[1:]),
                 )
                 for offset, answer in enumerate(answers):
                     self._user_rows.setdefault(answer.author, []).append(
@@ -351,8 +353,7 @@ class ForumState:
                 self._rt_dirty = True
             self._num_answers += len(thread.answers)
             k = self.topics.n_topics
-            for post in thread.posts:
-                d = self.topics.post_topics(post)
+            for post, d in zip(posts, post_topics):
                 per_user = self._discussed.setdefault(post.author, {})
                 prev_sum, prev_count = per_user.get(tid, (np.zeros(k), 0))
                 per_user[tid] = (prev_sum + d, prev_count + 1)

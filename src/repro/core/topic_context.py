@@ -10,8 +10,11 @@ time).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 import numpy as np
 
+from .. import perf
 from ..forum.dataset import ForumDataset
 from ..forum.models import Post
 from ..topics.lda import LdaGibbs, LdaVariational, fit_lda
@@ -77,12 +80,32 @@ class TopicModelContext:
         cached = self._post_topics.get(post.post_id)
         if cached is not None:
             return cached
-        dist = self.infer_body(post.body)
-        self._post_topics[post.post_id] = dist
-        return dist
+        return self.post_topics_many([post])[0]
+
+    def post_topics_many(self, posts: Sequence[Post]) -> list[np.ndarray]:
+        """``d(p)`` for each post, in order.
+
+        Every uncached post is inferred in one ``transform`` call and
+        cached by ``post_id``.  Inference is batch-invariant, so each
+        vector equals what :meth:`post_topics` alone would give.
+        """
+        cache = self._post_topics
+        missing: dict[int, Post] = {}
+        for post in posts:
+            if post.post_id not in cache:
+                missing.setdefault(post.post_id, post)
+        if missing:
+            with perf.timer("topics.infer"):
+                dists = self.model.transform(
+                    [self._encode(post.body) for post in missing.values()]
+                )
+            perf.incr("topics.docs_inferred", len(missing))
+            cache.update(zip(missing, dists))
+        return [cache[post.post_id] for post in posts]
 
     def infer_body(self, body: str) -> np.ndarray:
         """Topic distribution for raw post HTML via the frozen topics."""
-        tokens = tokenize(split_text_and_code(body).words)
-        encoded = self.vocabulary.encode(tokens)
-        return self.model.transform([encoded])[0]
+        return self.model.transform([self._encode(body)])[0]
+
+    def _encode(self, body: str) -> np.ndarray:
+        return self.vocabulary.encode(tokenize(split_text_and_code(body).words))

@@ -27,17 +27,12 @@ __all__ = ["LdaGibbs", "LdaVariational", "fit_lda"]
 
 @dataclass(frozen=True)
 class _Corpus:
-    """CSR-style token table shared by every E-step pass of one fit.
+    """Doc-major cell table shared by every E-step pass over a corpus.
 
-    Cells are the nonzero (doc, word) entries, sorted by document;
-    ``doc_starts``/``doc_labels`` segment them per document and
-    ``cell_pos`` maps each cell to its compact document row.  The
-    word-major permutation (``word_order``/``word_starts``/
-    ``word_labels``) is precomputed once so the M-step scatter does not
-    re-sort the corpus every outer iteration; ``wm_doc_idx``/
-    ``wm_word_idx``/``wm_counts`` are the cell columns already in that
-    order, so the sufficient-statistics pass gathers straight into
-    word-major layout instead of permuting an (nnz, k) block per call.
+    Cells are the nonzero (doc, word) entries, sorted by document and
+    then word; ``doc_starts``/``doc_labels`` segment them per document,
+    ``cell_pos`` maps each cell to its compact document row and
+    ``empty_docs`` lists the documents without a cell.
     """
 
     doc_idx: np.ndarray
@@ -46,12 +41,36 @@ class _Corpus:
     doc_starts: np.ndarray
     doc_labels: np.ndarray
     cell_pos: np.ndarray
-    word_order: np.ndarray
+    empty_docs: np.ndarray
+
+
+@dataclass(frozen=True)
+class _WordMajor:
+    """The cells of a :class:`_Corpus` in word-major order.
+
+    Built once per fit so the M-step scatter gathers straight into
+    word-major layout instead of re-sorting the corpus, or permuting an
+    (nnz, k) block, every outer iteration.
+    """
+
+    doc_idx: np.ndarray
+    word_idx: np.ndarray
+    counts: np.ndarray
     word_starts: np.ndarray
     word_labels: np.ndarray
-    wm_doc_idx: np.ndarray
-    wm_word_idx: np.ndarray
-    wm_counts: np.ndarray
+
+
+def _segments(sorted_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(segment starts, segment labels) of a sorted index array."""
+    starts = np.r_[0, np.flatnonzero(np.diff(sorted_idx)) + 1]
+    return starts, sorted_idx[starts]
+
+
+def _exp_elog(dirichlet: np.ndarray) -> np.ndarray:
+    """``exp(E[log x])`` of each row's Dirichlet(``dirichlet``) variable."""
+    return np.exp(
+        digamma(dirichlet) - digamma(dirichlet.sum(axis=1, keepdims=True))
+    )
 
 
 def _validate_docs(docs: list[np.ndarray], vocab_size: int) -> None:
@@ -161,10 +180,15 @@ class LdaGibbs(_LdaBase):
     def transform(
         self, docs: list[np.ndarray], n_iter: int = 20, seed: int = 0
     ) -> np.ndarray:
-        """Infer topic distributions for held-out docs with frozen topics."""
+        """Infer topic distributions for held-out docs with frozen topics.
+
+        Every document samples from its own generator seeded with
+        ``seed``, so a document's distribution does not depend on the
+        rest of the batch: ``transform(docs)[i]`` equals
+        ``transform([docs[i]])[0]`` bit for bit.
+        """
         self._check_fitted()
         _validate_docs(docs, self.vocab_size)
-        rng = np.random.default_rng(seed)
         k = self.n_topics
         out = np.zeros((len(docs), k))
         word_given_topic = self.topic_word_
@@ -173,6 +197,7 @@ class LdaGibbs(_LdaBase):
             if doc.size == 0:
                 out[d] = 1.0 / k
                 continue
+            rng = np.random.default_rng(seed)
             z = rng.integers(0, k, size=doc.size)
             counts = np.bincount(z, minlength=k)
             for _ in range(n_iter):
@@ -207,6 +232,10 @@ class LdaVariational(_LdaBase):
       mean-change check; every document runs until the *corpus* mean
       converges, which in practice means the full ``inner_iter`` budget.
       Kept as the pre-optimization baseline for benchmarking.
+
+    Held-out inference is batch-invariant under every engine:
+    ``transform(docs)[i]`` equals ``transform([docs[i]])[0]`` bit for
+    bit.
     """
 
     def __init__(
@@ -233,89 +262,96 @@ class LdaVariational(_LdaBase):
         self.e_step = e_step
         self.seed = seed
 
-    @staticmethod
-    def _coo(docs: list[np.ndarray]):
-        """Corpus as parallel (doc_idx, word_idx, count) arrays.
+    def _corpus(self, docs: list[np.ndarray]) -> _Corpus | None:
+        """The doc-major cell table of ``docs``, or ``None`` when no
+        document has a token.
 
-        ``doc_idx`` is sorted by construction, which lets the E-step
-        aggregate per-document sums with ``np.add.reduceat`` instead of
-        the much slower ``np.add.at``.
+        One ``np.unique`` over ``doc * vocab_size + word`` keys yields
+        the cells sorted by document and then word, exactly the
+        per-document ``np.unique`` order; ``doc_idx`` being sorted lets
+        the E-step aggregate per-document sums with ``np.add.reduceat``
+        instead of the much slower ``np.add.at``.
         """
-        doc_idx: list[np.ndarray] = []
-        word_idx: list[np.ndarray] = []
-        counts: list[np.ndarray] = []
-        for d, doc in enumerate(docs):
-            doc = np.asarray(doc, dtype=np.int64)
-            if doc.size == 0:
-                continue
-            ids, cnt = np.unique(doc, return_counts=True)
-            doc_idx.append(np.full(ids.size, d, dtype=np.int64))
-            word_idx.append(ids)
-            counts.append(cnt.astype(float))
-        if not doc_idx:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty, np.empty(0)
-        return (
-            np.concatenate(doc_idx),
-            np.concatenate(word_idx),
-            np.concatenate(counts),
-        )
-
-    @staticmethod
-    def _segments(sorted_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(segment starts, segment labels) of a sorted index array."""
-        starts = np.r_[0, np.flatnonzero(np.diff(sorted_idx)) + 1]
-        return starts, sorted_idx[starts]
-
-    @classmethod
-    def _corpus(cls, docs: list[np.ndarray]) -> _Corpus | None:
-        """Precompute every index structure the E/M steps need, once.
-
-        Returns ``None`` for a corpus with no in-vocabulary tokens.
-        """
-        doc_idx, word_idx, counts = cls._coo(docs)
-        if doc_idx.size == 0:
+        lengths = [np.size(doc) for doc in docs]
+        if not sum(lengths):
             return None
-        doc_starts, doc_labels = cls._segments(doc_idx)
+        tokens = np.concatenate([np.asarray(doc, dtype=np.int64) for doc in docs])
+        doc_of = np.repeat(np.arange(len(docs), dtype=np.int64), lengths)
+        keys, counts = np.unique(
+            doc_of * self.vocab_size + tokens, return_counts=True
+        )
+        doc_idx, word_idx = np.divmod(keys, self.vocab_size)
+        doc_starts, doc_labels = _segments(doc_idx)
         seg_lengths = np.diff(np.r_[doc_starts, doc_idx.size])
-        cell_pos = np.repeat(np.arange(doc_labels.size), seg_lengths)
-        word_order = np.argsort(word_idx, kind="stable")
-        wm_word_idx = word_idx[word_order]
-        word_starts, word_labels = cls._segments(wm_word_idx)
+        has_cells = np.zeros(len(docs), dtype=bool)
+        has_cells[doc_labels] = True
         return _Corpus(
             doc_idx=doc_idx,
             word_idx=word_idx,
-            counts=counts,
+            counts=counts.astype(float),
             doc_starts=doc_starts,
             doc_labels=doc_labels,
-            cell_pos=cell_pos,
-            word_order=word_order,
-            word_starts=word_starts,
-            word_labels=word_labels,
-            wm_doc_idx=doc_idx[word_order],
-            wm_word_idx=wm_word_idx,
-            wm_counts=counts[word_order],
+            cell_pos=np.repeat(np.arange(doc_labels.size), seg_lengths),
+            empty_docs=np.flatnonzero(~has_cells),
         )
 
+    @staticmethod
+    def _word_major(corpus: _Corpus) -> _WordMajor:
+        """The corpus cells permuted into word-major order, once per fit."""
+        order = np.argsort(corpus.word_idx, kind="stable")
+        word_idx = corpus.word_idx[order]
+        word_starts, word_labels = _segments(word_idx)
+        return _WordMajor(
+            doc_idx=corpus.doc_idx[order],
+            word_idx=word_idx,
+            counts=corpus.counts[order],
+            word_starts=word_starts,
+            word_labels=word_labels,
+        )
+
+    def _set_lambda(self, lam: np.ndarray) -> None:
+        """Install fitted topics and the ``exp(E[log beta])`` inference
+        reads, computed once here rather than on every transform."""
+        self._lambda = lam
+        self._exp_elog_beta = _exp_elog(lam)
+        self.topic_word_ = lam / lam.sum(axis=1, keepdims=True)
+
     def _gamma_batched(
-        self, corpus: _Corpus, exp_elog_beta: np.ndarray, gamma: np.ndarray
+        self,
+        corpus: _Corpus,
+        exp_elog_beta: np.ndarray,
+        gamma: np.ndarray,
+        passes: int = 1,
     ) -> None:
         """Active-set fixed point: documents leave once they converge.
 
-        All unconverged documents update simultaneously over the flat
-        cell table; after each sweep the converged rows are frozen and
-        every per-cell array is compacted to the surviving documents, so
-        late sweeps touch only the stragglers.  Per-document arithmetic
-        is identical to :meth:`_gamma_perdoc` (same operations, same
-        order), which the test suite asserts to 1e-8.
+        All unfinished documents update simultaneously over the flat
+        cell table.  A document's pass ends when its mean ``gamma``
+        change drops below ``tol`` or after ``inner_iter`` sweeps; with
+        ``passes > 1`` it then starts another pass where it stopped,
+        until a pass moves it by less than ``tol`` in mean or it has
+        run ``passes`` passes.  Finished rows are frozen and every
+        per-cell array is compacted to the survivors, so late sweeps
+        touch only the stragglers.  Per-document arithmetic is
+        identical to :meth:`_gamma_perdoc` (same operations, same
+        order) and does not depend on which other documents share the
+        batch.
         """
         k = self.n_topics
+        tol = self.tol
         act_docs = corpus.doc_labels
         gamma_act = gamma[act_docs]
         c_pos = corpus.cell_pos
         c_counts = corpus.counts
         c_beta = exp_elog_beta[:, corpus.word_idx].T  # (nnz, k)
         c_starts = corpus.doc_starts
+        # The sweep at which each document's current pass runs out of
+        # budget; passes end far more often by convergence, so the
+        # budget mask is only built on the sweep the earliest one hits.
+        deadline = np.full(act_docs.size, self.inner_iter)
+        next_deadline = self.inner_iter
+        pass_start = gamma_act.copy()
+        passes_done = np.zeros(act_docs.size, dtype=np.int64)
         # Sweep buffers, rebuilt only when the active set is compacted;
         # every in-place op below is value-identical to the allocating
         # expression in _gamma_perdoc (multiplication/addition operand
@@ -325,11 +361,16 @@ class LdaVariational(_LdaBase):
         diff = np.empty_like(gamma_act)
         theta = np.empty((c_pos.size, k))
         phinorm = np.empty(c_pos.size)
-        for _ in range(self.inner_iter):
+        # The loop is dispatch-bound on small batches, so it calls the
+        # ufuncs behind .sum()/.mean()/.any() directly: add.reduce and
+        # a divide by k are exactly what those wrappers compute.
+        sweep = 0
+        while True:
+            sweep += 1
             digamma(gamma_act, out=elog)
-            elog -= digamma(gamma_act.sum(axis=1, keepdims=True))
+            elog -= digamma(np.add.reduce(gamma_act, axis=1, keepdims=True))
             np.exp(elog, out=elog)
-            np.take(elog, c_pos, axis=0, out=theta)
+            elog.take(c_pos, axis=0, out=theta)
             np.einsum("ij,ij->i", theta, c_beta, out=phinorm)
             phinorm += 1e-100
             np.divide(c_counts, phinorm, out=phinorm)
@@ -339,23 +380,40 @@ class LdaVariational(_LdaBase):
             gamma_new += self.alpha
             np.subtract(gamma_new, gamma_act, out=diff)
             np.abs(diff, out=diff)
-            delta = diff.mean(axis=1)
-            conv = delta < self.tol
-            if conv.all():
+            ended = np.add.reduce(diff, axis=1) / k < tol
+            if sweep == next_deadline:
+                ended |= deadline == sweep
+            if not np.logical_or.reduce(ended):
+                gamma_act, gamma_new = gamma_new, gamma_act
+                continue
+            # A pass ended: the document is done, or starts its next
+            # pass where this one stopped.
+            passes_done += ended
+            moved = np.abs(gamma_new - pass_start).mean(axis=1)
+            done = ended & (
+                (passes_done == passes) | ((passes_done > 1) & (moved < tol))
+            )
+            again = ended & ~done
+            pass_start[again] = gamma_new[again]
+            deadline[again] = sweep + self.inner_iter
+            if done.all():
                 gamma[act_docs] = gamma_new
-                break
-            if conv.any():
-                keep = ~conv
-                # A document's posterior is final the sweep it leaves the
-                # active set, so gamma is only scattered into here and at
-                # loop exit — never once per sweep.
-                gamma[act_docs[conv]] = gamma_new[conv]
+                return
+            if done.any():
+                keep = ~done
+                # A document's posterior is final the sweep it finishes,
+                # so gamma is only scattered into here and at the end —
+                # never once per sweep.
+                gamma[act_docs[done]] = gamma_new[done]
                 seg_len = np.diff(np.append(c_starts, c_counts.size))[keep]
                 act_docs = act_docs[keep]
                 cell_keep = keep[c_pos]
                 remap = np.cumsum(keep) - 1
                 c_pos = remap[c_pos[cell_keep]]
                 gamma_act = gamma_new[keep]
+                deadline = deadline[keep]
+                pass_start = pass_start[keep]
+                passes_done = passes_done[keep]
                 c_beta = c_beta[cell_keep]
                 c_counts = c_counts[cell_keep]
                 c_starts = np.concatenate(([0], np.cumsum(seg_len[:-1])))
@@ -366,11 +424,14 @@ class LdaVariational(_LdaBase):
                 phinorm = np.empty(c_pos.size)
             else:
                 gamma_act, gamma_new = gamma_new, gamma_act
-        else:
-            gamma[act_docs] = gamma_act
+            next_deadline = deadline.min()
 
     def _gamma_perdoc(
-        self, corpus: _Corpus, exp_elog_beta: np.ndarray, gamma: np.ndarray
+        self,
+        corpus: _Corpus,
+        exp_elog_beta: np.ndarray,
+        gamma: np.ndarray,
+        passes: int = 1,
     ) -> None:
         """Reference document-by-document fixed point (slow, exact)."""
         bounds = np.r_[corpus.doc_starts, corpus.doc_idx.size]
@@ -379,16 +440,20 @@ class LdaVariational(_LdaBase):
             beta_d = exp_elog_beta[:, corpus.word_idx[lo:hi]].T
             cnt = corpus.counts[lo:hi]
             g = gamma[d]
-            for _ in range(self.inner_iter):
-                elog = np.exp(digamma(g) - digamma(g.sum()))
-                theta = np.tile(elog, (hi - lo, 1))
-                phinorm = np.einsum("ij,ij->i", theta, beta_d) + 1e-100
-                weighted = (cnt / phinorm)[:, None] * beta_d
-                s = np.add.reduceat(weighted, [0], axis=0)[0]
-                g_new = self.alpha + elog * s
-                delta = np.abs(g_new - g).mean()
-                g = g_new
-                if delta < self.tol:
+            for p in range(passes):
+                g_start = g
+                for _ in range(self.inner_iter):
+                    elog = np.exp(digamma(g) - digamma(g.sum()))
+                    theta = np.tile(elog, (hi - lo, 1))
+                    phinorm = np.einsum("ij,ij->i", theta, beta_d) + 1e-100
+                    weighted = (cnt / phinorm)[:, None] * beta_d
+                    s = np.add.reduceat(weighted, [0], axis=0)[0]
+                    g_new = self.alpha + elog * s
+                    delta = np.abs(g_new - g).mean()
+                    g = g_new
+                    if delta < self.tol:
+                        break
+                if p and np.abs(g - g_start).mean() < self.tol:
                     break
             gamma[d] = g
 
@@ -400,9 +465,7 @@ class LdaVariational(_LdaBase):
         n_docs = gamma.shape[0]
         beta_cells = exp_elog_beta[:, corpus.word_idx].T
         for _ in range(self.inner_iter):
-            exp_elog_theta = np.exp(
-                digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
-            )
+            exp_elog_theta = _exp_elog(gamma)
             theta_cells = exp_elog_theta[corpus.doc_idx]
             phinorm = np.einsum("ij,ij->i", theta_cells, beta_cells) + 1e-100
             weighted = (corpus.counts / phinorm)[:, None] * beta_cells
@@ -417,7 +480,7 @@ class LdaVariational(_LdaBase):
                 break
 
     def _sstats(
-        self, corpus: _Corpus, exp_elog_beta: np.ndarray, gamma: np.ndarray
+        self, cells: _WordMajor, exp_elog_beta: np.ndarray, gamma: np.ndarray
     ) -> np.ndarray:
         """Expected topic-word counts from the final gamma of one E-step.
 
@@ -427,69 +490,53 @@ class LdaVariational(_LdaBase):
         the (nnz, k) permutation of a doc-major contribution block.
         """
         k = self.n_topics
-        exp_elog_theta = np.exp(
-            digamma(gamma) - digamma(gamma.sum(axis=1, keepdims=True))
-        )
-        theta_cells = exp_elog_theta[corpus.wm_doc_idx]
-        beta_cells = exp_elog_beta[:, corpus.wm_word_idx].T
+        exp_elog_theta = _exp_elog(gamma)
+        theta_cells = exp_elog_theta[cells.doc_idx]
+        beta_cells = exp_elog_beta[:, cells.word_idx].T
         phinorm = np.einsum("ij,ij->i", theta_cells, beta_cells) + 1e-100
-        np.multiply(theta_cells, (corpus.wm_counts / phinorm)[:, None],
+        np.multiply(theta_cells, (cells.counts / phinorm)[:, None],
                     out=theta_cells)
         np.multiply(theta_cells, beta_cells, out=theta_cells)
         sstats_t = np.zeros((exp_elog_beta.shape[1], k))
-        sstats_t[corpus.word_labels] = np.add.reduceat(
-            theta_cells, corpus.word_starts, axis=0
+        sstats_t[cells.word_labels] = np.add.reduceat(
+            theta_cells, cells.word_starts, axis=0
         )
         return sstats_t.T
 
     def _e_step(
         self,
-        n_docs: int,
         corpus: _Corpus | None,
         exp_elog_beta: np.ndarray,
-        rng: np.random.Generator | None,
-        collect_sstats: bool,
-        gamma_init: np.ndarray | None = None,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """One gamma pass over the corpus with the configured engine.
+        gamma: np.ndarray,
+        passes: int = 1,
+    ) -> None:
+        """Run the configured engine on ``gamma`` in place.
 
-        ``gamma_init`` warm-starts the fixed point from the previous
-        outer iteration's posterior instead of a fresh draw — after the
-        first few M-steps the topics barely move, so warm-started
-        documents converge in a handful of sweeps instead of running the
-        full ``inner_iter`` budget from a cold start every E-step.
+        ``gamma`` holds the starting point: a fresh draw, or the
+        previous outer iteration's posterior — after the first few
+        M-steps the topics barely move, so warm-started documents
+        converge in a handful of sweeps instead of running the full
+        ``inner_iter`` budget from a cold start every E-step.
+        ``passes`` is the per-document outer budget of the warm
+        engines; the legacy engine always runs one pass.  Documents
+        with no in-vocabulary words keep the prior.
         """
-        k = self.n_topics
-        if gamma_init is not None:
-            gamma = gamma_init.copy()
-        elif rng is not None:
-            gamma = rng.gamma(100.0, 0.01, size=(n_docs, k))
-        else:
-            gamma = np.ones((n_docs, k))
         if corpus is None:
             gamma[:] = self.alpha
-            sstats = np.zeros_like(exp_elog_beta) if collect_sstats else None
-            return gamma, sstats
+            return
         if self.e_step == "perdoc":
-            self._gamma_perdoc(corpus, exp_elog_beta, gamma)
+            self._gamma_perdoc(corpus, exp_elog_beta, gamma, passes)
         elif self.e_step == "global":
             self._gamma_global(corpus, exp_elog_beta, gamma)
         else:
-            self._gamma_batched(corpus, exp_elog_beta, gamma)
-        # Documents with no in-vocabulary words keep the prior.
-        empty_docs = np.setdiff1d(np.arange(n_docs), corpus.doc_labels)
-        gamma[empty_docs] = self.alpha
-        sstats = (
-            self._sstats(corpus, exp_elog_beta, gamma)
-            if collect_sstats
-            else None
-        )
-        return gamma, sstats
+            self._gamma_batched(corpus, exp_elog_beta, gamma, passes)
+        gamma[corpus.empty_docs] = self.alpha
 
     def fit(self, docs: list[np.ndarray]) -> "LdaVariational":
         _validate_docs(docs, self.vocab_size)
         rng = np.random.default_rng(self.seed)
         corpus = self._corpus(docs)
+        cells = self._word_major(corpus) if corpus is not None else None
         lam = rng.gamma(100.0, 0.01, size=(self.n_topics, self.vocab_size))
         gamma = None
         # The legacy engine redraws gamma every E-step (the pre-engine
@@ -497,19 +544,17 @@ class LdaVariational(_LdaBase):
         # engines carry the previous posterior across outer iterations.
         warm = self.e_step != "global"
         for _ in range(self.n_iter):
-            exp_elog_beta = np.exp(
-                digamma(lam) - digamma(lam.sum(axis=1, keepdims=True))
-            )
+            exp_elog_beta = _exp_elog(lam)
             prev_gamma = gamma
-            gamma, sstats = self._e_step(
-                len(docs),
-                corpus,
-                exp_elog_beta,
-                rng,
-                collect_sstats=True,
-                gamma_init=gamma if warm else None,
-            )
-            lam = self.beta + sstats
+            if warm and gamma is not None:
+                gamma = gamma.copy()
+            else:
+                gamma = rng.gamma(100.0, 0.01, size=(len(docs), self.n_topics))
+            self._e_step(corpus, exp_elog_beta, gamma)
+            if cells is None:
+                lam = self.beta + np.zeros_like(exp_elog_beta)
+            else:
+                lam = self.beta + self._sstats(cells, exp_elog_beta, gamma)
             # Warm engines stop outer iterations once the posterior stops
             # moving (same tolerance as the per-document check); batched
             # and perdoc see bit-identical gammas, so they stop at the
@@ -521,44 +566,32 @@ class LdaVariational(_LdaBase):
                 and np.abs(gamma - prev_gamma).mean() < self.tol
             ):
                 break
-        self._lambda = lam
-        self.topic_word_ = lam / lam.sum(axis=1, keepdims=True)
+        self._set_lambda(lam)
         self.doc_topic_ = gamma / gamma.sum(axis=1, keepdims=True)
         return self
 
     def transform(self, docs: list[np.ndarray]) -> np.ndarray:
         """Infer topic distributions for held-out docs with frozen topics.
 
-        The warm engines repeat the E-step from the previous pass's
-        posterior until the gamma fixed point stops moving — documents
-        the single ``inner_iter`` budget cannot settle get the same
-        accumulated refinement the training gammas receive across outer
-        iterations, so re-inference agrees with the training posterior.
-        The legacy engine keeps its single pass.
+        The warm engines give every document up to ``n_iter`` E-step
+        passes, each warm-started from the previous one, and stop a
+        document once a pass moves its ``gamma`` by less than ``tol`` in
+        mean — documents the single ``inner_iter`` budget cannot settle
+        get the same accumulated refinement the training gammas receive
+        across outer iterations, so re-inference agrees with the
+        training posterior.  The legacy engine runs one pass, one
+        document at a time, because its tolerance is corpus-wide.
+        Either way the check is per document, so the output is
+        batch-invariant: ``transform(docs)[i]`` equals
+        ``transform([docs[i]])[0]`` bit for bit.
         """
         self._check_fitted()
         _validate_docs(docs, self.vocab_size)
-        corpus = self._corpus(docs)
-        exp_elog_beta = np.exp(
-            digamma(self._lambda)
-            - digamma(self._lambda.sum(axis=1, keepdims=True))
-        )
-        gamma, _ = self._e_step(
-            len(docs), corpus, exp_elog_beta, rng=None, collect_sstats=False
-        )
-        if self.e_step != "global" and corpus is not None:
-            for _ in range(self.n_iter - 1):
-                prev = gamma
-                gamma, _ = self._e_step(
-                    len(docs),
-                    corpus,
-                    exp_elog_beta,
-                    rng=None,
-                    collect_sstats=False,
-                    gamma_init=gamma,
-                )
-                if np.abs(gamma - prev).mean() < self.tol:
-                    break
+        if self.e_step == "global" and len(docs) > 1:
+            return np.vstack([self.transform([doc]) for doc in docs])
+        gamma = np.ones((len(docs), self.n_topics))
+        passes = 1 if self.e_step == "global" else self.n_iter
+        self._e_step(self._corpus(docs), self._exp_elog_beta, gamma, passes)
         return gamma / gamma.sum(axis=1, keepdims=True)
 
     def to_state(self) -> tuple[dict, np.ndarray]:
@@ -601,8 +634,7 @@ class LdaVariational(_LdaBase):
                 f"lambda shape {lam.shape} does not match "
                 f"({model.n_topics}, {model.vocab_size})"
             )
-        model._lambda = lam
-        model.topic_word_ = lam / lam.sum(axis=1, keepdims=True)
+        model._set_lambda(lam)
         model.doc_topic_ = np.empty((0, model.n_topics))
         return model
 
