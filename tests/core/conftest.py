@@ -12,6 +12,7 @@ from repro.core import (
 )
 from repro.core.serving import RecommendationService, ServingCore
 from repro.forum import ForumConfig, generate_forum
+from repro.topics.lda import LdaVariational
 
 SMALL_CONFIG = ForumConfig(n_users=250, n_questions=320, activity_tail=1.4)
 PREDICTOR_CONFIG = PredictorConfig(
@@ -57,3 +58,18 @@ def serving_core(dataset):
     RecommendationService(core).warm(dataset)
     assert core.warmed
     return core
+
+
+@pytest.fixture
+def transform_sizes(monkeypatch):
+    """Batch size of every ``LdaVariational.transform`` call the test
+    makes (clear it to start counting later)."""
+    sizes: list[int] = []
+    original = LdaVariational.transform
+
+    def counting(self, docs):
+        sizes.append(len(docs))
+        return original(self, docs)
+
+    monkeypatch.setattr(LdaVariational, "transform", counting)
+    return sizes
