@@ -15,12 +15,12 @@ The handler is a synchronous callable ``list[payload] -> list[result]``
 — typically :meth:`ServingCore.process_query_batch` fusing retrieval +
 ranking + LP across the batch against the bound
 :class:`~repro.core.routing.QuestionRouter`.  Fusing does not change
-who gets recommended, but it is not bit-identical to routing each
-question alone: the ranked and routed users match, and scores agree
-within a relative 1e-12 because the stacked BLAS products may differ
-in the last ulp.  An optional ``cost`` function charges a simulated
-service time per batch before dispatch, which is what makes queueing
-dynamics deterministic under the virtual clock.
+the output: batched equals sequential, bit for bit.  Every model head
+runs its products on fixed 64-row tiles, so a row's scores do not
+depend on the rows of other questions stacked with it.  An optional
+``cost`` function charges a simulated service time per batch before
+dispatch, which is what makes queueing dynamics deterministic under
+the virtual clock.
 """
 
 from __future__ import annotations

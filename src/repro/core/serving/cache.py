@@ -8,6 +8,14 @@ reads the *live* load tracker) must always rerun.  The serving core
 clears the cache on every refit, so staleness is structurally
 impossible rather than TTL-managed.
 
+Entries hold what the scoring path computed, including rows it did not
+score: the vote and timing heads run only where ``answer >= epsilon``,
+so an ineligible row is cached with NaN votes and response time.  A hit
+never hands the LP an unscored row, because eligibility is recomputed
+from the cached answer against the same epsilon — epsilon is fixed per
+router, and a refit (the only thing that rebinds the router) clears the
+cache.
+
 Bounded LRU over pairs: one entry is one (user, thread) triple, so the
 memory envelope is ``max_pairs * 3`` floats plus key overhead.
 """

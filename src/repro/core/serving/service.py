@@ -662,12 +662,17 @@ class ServingCore:
         The single scoring path behind :meth:`route` and the fused
         batch flush.  Cache-hit queries skip compute entirely; every
         miss in the segment is featurized by one ``feature_matrix``
-        call and the model heads run once over the stacked rows.  With
-        the cache empty this is ``predict_batch`` over the concatenated
-        rank pairs.  Stacking changes the shapes of the heads' BLAS
-        products, so scores agree with routing each query alone only to
-        within a relative 1e-12 (last-ulp differences); the ranked and
-        routed users are the same.
+        call and the model heads run once over the stacked rows.
+
+        The answer head scores every row; the vote and timing heads
+        score only rows with ``answer >= epsilon`` (the router's), and
+        hold NaN elsewhere.  That covers every set the LP is handed: a
+        dense candidate list, a two-stage pool, and the dense fallback
+        after an empty pool all read ``v_hat`` and ``r_hat`` only at
+        eligible rows of the set scored here; the retry after an
+        infeasible nonempty pool recomputes through ``predict_batch``.
+        Every head is row-invariant, so batched equals sequential, bit
+        for bit.
         """
         predictor = self._router.predictor
         results: list[dict[str, np.ndarray] | None] = [None] * len(
@@ -681,23 +686,21 @@ class ServingCore:
             else:
                 missed.append(i)
         if missed:
+            sizes = [len(prepared_list[i].rank_candidates) for i in missed]
+            pairs = [
+                (u, prepared_list[i].thread)
+                for i in missed
+                for u in prepared_list[i].rank_candidates
+            ]
+            horizons = np.repeat(
+                predictor._horizons([prepared_list[i].thread for i in missed]),
+                sizes,
+            )
             with perf.timer("online.rank"):
-                sizes = [
-                    len(prepared_list[i].rank_candidates) for i in missed
-                ]
-                pairs = [
-                    (u, prepared_list[i].thread)
-                    for i in missed
-                    for u in prepared_list[i].rank_candidates
-                ]
                 x = predictor.extractor.feature_matrix(pairs)
-                horizons = np.repeat(
-                    predictor._horizons(
-                        [prepared_list[i].thread for i in missed]
-                    ),
-                    sizes,
+                predictions = predictor.predict_matrix(
+                    x, horizons, epsilon=self._router.epsilon
                 )
-                predictions = predictor.predict_matrix(x, horizons)
             start = 0
             for i, size in zip(missed, sizes):
                 sliced = {
@@ -813,13 +816,14 @@ class ServingCore:
         ``predict_batch`` call across every (candidate, question) pair
         of the segment; a due refit flushes the open segment first, so
         every query is scored by the same model as when routed one at a
-        time.  The contract against one-at-a-time routing: the same
-        ranked and routed users, and scores equal within a relative
-        1e-12 — the stacked BLAS products may differ in the last ulp.
-        Each segment's question topics ``d(q)`` are inferred in one
-        pass before its first query is prepared (retrieval reads them
-        first); inference is batch-invariant, so they are bit-identical
-        to one-at-a-time routing.
+        time.  The contract against one-at-a-time routing: batched
+        equals sequential, bit for bit — every model head runs its
+        products on fixed 64-row tiles, so a row's scores do not depend
+        on the rows stacked with it.  Each segment's question topics
+        ``d(q)`` are inferred in one pass before its first query is
+        prepared (retrieval reads them first); inference is
+        batch-invariant, so they are bit-identical to one-at-a-time
+        routing.
         """
         responses: list[RouteResponse | None] = [None] * len(threads)
         segment: list[tuple[int, _PreparedQuery]] = []

@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .activations import sigmoid
+from .network import tiled_matmul
 from .optimizers import Adam
 
 __all__ = ["LogisticRegression"]
@@ -102,10 +103,15 @@ class LogisticRegression:
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Probability of the positive class for each row of ``x``."""
+        """Probability of the positive class for each row of ``x``.
+
+        Row-invariant: the product runs on fixed 64-row tiles
+        (``tiled_matmul``), so a row's probability does not depend on
+        which other rows are scored with it.
+        """
         self._check_fitted()
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return sigmoid(x @ self.coef_ + self.intercept_)
+        return sigmoid(tiled_matmul(x, self.coef_) + self.intercept_)
 
     def predict(self, x: np.ndarray, threshold: float = 0.5) -> np.ndarray:
         """Hard 0/1 predictions at the given probability threshold."""

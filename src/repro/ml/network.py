@@ -17,6 +17,20 @@ nothing.  ``fit(..., fused=False)`` keeps the original allocate-per-step
 loop as a reference/baseline; both paths consume randomness identically
 and produce the same parameter trajectory up to floating-point
 reassociation inside the optimizer.
+
+Inference has its own stateless forward, ``MLP.infer`` (one
+``Dense.infer`` per layer), which every prediction entry point uses.
+It stacks the input into tiles of exactly ``TILE_ROWS`` rows, zero-pads
+the last tile, and runs each layer's matmul over the tile stack, so
+every BLAS call sees the same 64-row shape whatever the caller's row
+count.  A BLAS kernel may pick its blocking and summation order by
+matrix size (OpenBLAS switches kernels above about 128 rows), so an
+untiled product can change a row's last bits when other rows are added
+or removed.  On tiles, row ``i`` of the output depends only on
+``x[i]``: scoring a subset of rows is bit-identical to scoring all of
+them and taking the subset.  ``tiled_matmul`` is the same tiling for a
+single product (the logistic answer head).  The training forward and
+backward above keep their buffered, untiled products.
 """
 
 from __future__ import annotations
@@ -30,7 +44,40 @@ from .initializers import get_initializer
 from .losses import Loss, get_loss
 from .optimizers import Optimizer, get_optimizer
 
-__all__ = ["Dense", "MLP", "FitResult"]
+__all__ = ["Dense", "MLP", "FitResult", "TILE_ROWS", "tiled_matmul"]
+
+# Rows per inference tile.  64 and 128 give identical outputs; what
+# matters is that the tile shape is fixed, not what it is.
+TILE_ROWS = 64
+
+
+def _tiles(x: np.ndarray) -> np.ndarray:
+    """``x`` (rows, dim) as a (tiles, TILE_ROWS, dim) stack.
+
+    The last tile is zero-padded; a row count that fills whole tiles is
+    reshaped without a copy.
+    """
+    n, dim = x.shape
+    n_tiles = max(1, -(-n // TILE_ROWS))
+    if n == n_tiles * TILE_ROWS:
+        return np.ascontiguousarray(x).reshape(n_tiles, TILE_ROWS, dim)
+    padded = np.zeros((n_tiles * TILE_ROWS, dim), dtype=x.dtype)
+    padded[:n] = x
+    return padded.reshape(n_tiles, TILE_ROWS, dim)
+
+
+def _untile(tiles: np.ndarray, n: int) -> np.ndarray:
+    """The first ``n`` rows of a tile stack, padding dropped."""
+    return tiles.reshape((-1,) + tiles.shape[2:])[:n]
+
+
+def tiled_matmul(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x @ w`` for 2-D ``x``, one fixed-shape product per 64-row tile.
+
+    Row ``i`` of the result depends only on ``x[i]`` (see the module
+    docstring); ``w`` may be a matrix or a vector.
+    """
+    return _untile(np.matmul(_tiles(x), w), x.shape[0])
 
 
 class Dense:
@@ -104,6 +151,16 @@ class Dense:
             self._pre_activation = x @ self.weight + self.bias
             self._output = self.activation.forward(self._pre_activation)
         return self._output
+
+    def infer(self, tiles: np.ndarray) -> np.ndarray:
+        """Stateless forward over a (tiles, TILE_ROWS, in_dim) stack.
+
+        Each tile is one fixed-shape matmul, so an output row depends
+        only on its input row.  Nothing is cached for ``backward``.
+        """
+        z = np.matmul(tiles, self.weight)
+        z += self.bias
+        return self.activation.forward(z, out=z)
 
     def backward(self, grad_out: np.ndarray, *, buffered: bool = False) -> np.ndarray:
         if self._input is None or self._pre_activation is None:
@@ -299,9 +356,24 @@ class MLP:
         self.__dict__.update(state)
         self._flatten()
 
+    def infer(self, x: np.ndarray) -> np.ndarray:
+        """Row-invariant inference: ``out[i]`` depends on ``x[i]`` only.
+
+        Pads ``x`` into 64-row tiles once and runs every layer over the
+        tile stack (``Dense.infer``); touches none of the training
+        buffers or caches.
+        """
+        x = np.asarray(x, dtype=self.dtype)
+        if x.ndim != 2:
+            raise ValueError("MLP input must be 2-D (batch, features)")
+        out = _tiles(x)
+        for layer in self.layers:
+            out = layer.infer(out)
+        return _untile(out, x.shape[0])
+
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Forward pass; squeezes a single-output network to shape (batch,)."""
-        out = self.forward(np.atleast_2d(np.asarray(x, dtype=self.dtype)))
+        """Inference forward; squeezes a single-output network to (batch,)."""
+        out = self.infer(np.atleast_2d(np.asarray(x, dtype=self.dtype)))
         return out[:, 0] if out.shape[1] == 1 else out
 
     def fit(

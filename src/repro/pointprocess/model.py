@@ -97,11 +97,15 @@ class ExcitationPointProcess:
     # -- parameter readout ------------------------------------------------------
 
     def predict_parameters(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(mu, omega) for each feature row, floored away from zero."""
+        """(mu, omega) for each feature row, floored away from zero.
+
+        Runs the networks' row-invariant inference forward, so each
+        row's parameters depend only on that row.
+        """
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        mu = np.maximum(self.excitation_net.forward(x)[:, 0], _MU_FLOOR)
+        mu = np.maximum(self.excitation_net.infer(x)[:, 0], _MU_FLOOR)
         if self.decay_net is not None:
-            omega = np.maximum(self.decay_net.forward(x)[:, 0], _OMEGA_FLOOR)
+            omega = np.maximum(self.decay_net.infer(x)[:, 0], _OMEGA_FLOOR)
         else:
             omega = np.full(x.shape[0], self.omega)
         return mu, omega

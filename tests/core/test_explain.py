@@ -46,6 +46,21 @@ class TestStructure:
                 assert np.isfinite(c.value)
 
 
+    def test_ineligible_pair_fully_explained(self, fitted, dataset):
+        """A pair far below any routing threshold still gets finite
+        vote and timing attributions: explanation scores every head."""
+        thread = dataset.threads[-1]
+        users = sorted(dataset.answerers)
+        answer = fitted.predict_batch([(u, thread) for u in users])["answer"]
+        user = users[int(np.argmin(answer))]
+        assert answer.min() < 0.25
+        exp = explain_prediction(fitted, user, thread)
+        for task in ("answer", "votes", "response_time"):
+            for c in getattr(exp, task):
+                assert np.isfinite(c.contribution)
+                assert np.isfinite(c.value)
+
+
 class TestLinearExactness:
     def test_answer_contributions_sum_to_logit(self, fitted, dataset):
         """Linear attribution is exact: contributions + intercept = logit."""

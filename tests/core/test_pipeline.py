@@ -79,6 +79,65 @@ class TestPredict:
         assert np.mean(answer_probs) > np.mean(stranger_probs)
 
 
+def bitwise_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and (
+        a.tobytes() == b.tobytes()
+    )
+
+
+class TestGatedPredictMatrix:
+    """``epsilon`` gates the vote and timing heads to eligible rows."""
+
+    @pytest.fixture(scope="class")
+    def rows(self, fitted, dataset):
+        users = sorted(dataset.answerers)
+        pairs = [(u, t) for t in dataset.threads[-4:] for u in users]
+        x = fitted.extractor.feature_matrix(pairs)
+        horizons = fitted._horizons([t for _, t in pairs])
+        return x, horizons
+
+    @pytest.mark.parametrize("epsilon", [0.05, 0.25, 0.5, 0.999])
+    def test_eligible_rows_bit_identical_to_ungated(
+        self, fitted, rows, epsilon
+    ):
+        x, horizons = rows
+        full = fitted.predict_matrix(x, horizons)
+        gated = fitted.predict_matrix(x, horizons, epsilon=epsilon)
+        assert bitwise_equal(full["answer"], gated["answer"])
+        eligible = full["answer"] >= epsilon
+        for key in ("votes", "response_time"):
+            assert bitwise_equal(full[key][eligible], gated[key][eligible])
+            assert np.isnan(gated[key][~eligible]).all()
+
+    def test_heads_see_only_eligible_rows(self, fitted, rows, monkeypatch):
+        x, horizons = rows
+        answer = fitted.answer_model.predict_proba(x)
+        epsilon = float(np.median(answer))
+        seen = {}
+        for name in ("vote_model", "timing_model"):
+            model = getattr(fitted, name)
+            original = model.predict
+
+            def spy(xs, *args, _name=name, _original=original):
+                seen[_name] = len(xs)
+                return _original(xs, *args)
+
+            monkeypatch.setattr(model, "predict", spy)
+        fitted.predict_matrix(x, horizons, epsilon=epsilon)
+        n_eligible = int((answer >= epsilon).sum())
+        assert 0 < n_eligible < len(x)
+        assert seen == {"vote_model": n_eligible, "timing_model": n_eligible}
+
+    def test_predict_batch_scores_every_row(self, fitted, dataset):
+        thread = dataset.threads[-1]
+        pairs = [(u, thread) for u in sorted(dataset.answerers)]
+        out = fitted.predict_batch(pairs)
+        assert (out["answer"] < 0.25).any()  # ineligible rows are scored
+        for values in out.values():
+            assert values.shape == (len(pairs),)
+            assert np.isfinite(values).all()
+
+
 class TestFeatureWindow:
     def test_separate_window(self, dataset, predictor_config):
         """Training on late threads with features from early threads."""
