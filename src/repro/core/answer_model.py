@@ -17,7 +17,7 @@ __all__ = ["AnswerModel"]
 class AnswerModel:
     """Standardized logistic regression for P(a_uq = 1 | x_uq)."""
 
-    def __init__(self, l2: float = 1e-2, max_iter: int = 1500):
+    def __init__(self, l2: float = 1e-2, max_iter: int = 100):
         self.scaler = StandardScaler(clip=8.0)
         self.classifier = LogisticRegression(l2=l2, max_iter=max_iter)
 

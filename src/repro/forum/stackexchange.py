@@ -128,7 +128,8 @@ def load_api_json(path: str | Path) -> ForumDataset:
     of question objects, each carrying ``question_id``,
     ``creation_date`` (epoch seconds), ``score``, ``body``,
     ``owner.user_id`` and optionally ``answers`` with the same fields
-    (``answer_id`` instead of ``question_id``).
+    (``answer_id`` instead of ``question_id``).  A question without
+    ``question_id`` raises ``ValueError`` naming its index.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -148,7 +149,9 @@ def load_api_json(path: str | Path) -> ForumDataset:
         return int(owner.get("user_id", _ANONYMOUS_USER))
 
     threads = []
-    for q in items:
+    for index, q in enumerate(items):
+        if "question_id" not in q:
+            raise ValueError(f"question record {index} has no 'question_id'")
         qid = int(q["question_id"])
         thread = Thread(
             question=Post(

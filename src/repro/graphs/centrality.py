@@ -6,10 +6,12 @@ convention: node pairs with no connecting path are simply removed from
 the sums, so closeness is ``(|U| - 1) / sum(dist to reachable nodes)``
 and betweenness only counts source/target pairs in the same component.
 
-Both measures run level-synchronous BFS over a CSR adjacency, expanding
-every source of a block simultaneously with vectorized gathers — the
-per-refit centrality recompute of the online loop is the hot path here,
-and the per-node Python BFS it replaced dominated it.
+Both measures work on a CSR adjacency, one block of sources at a time —
+the per-refit centrality recompute of the online loop is the hot path
+here.  Closeness takes its distances from scipy's compiled unweighted
+shortest paths; betweenness runs a level-synchronous BFS that expands
+every source of a block simultaneously with vectorized gathers, because
+Brandes' dependency accumulation needs the path counts and levels.
 """
 
 from __future__ import annotations
@@ -17,6 +19,8 @@ from __future__ import annotations
 from collections.abc import Hashable
 
 import numpy as np
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from .graph import UndirectedGraph
 
@@ -63,16 +67,12 @@ def _bfs_block(
     indices: np.ndarray,
     sources: np.ndarray,
     n: int,
-    *,
-    count_paths: bool = True,
 ) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
     """Level-synchronous BFS from a block of sources at once.
 
     Returns the distance matrix (block x n, -1 unreachable), the
     shortest-path counts ``sigma`` and the per-level (source, node)
-    frontiers.  ``count_paths=False`` skips the sigma accumulation —
-    closeness only needs distances, and the scatter-add is the costly
-    part.
+    frontiers.
     """
     b = len(sources)
     dist = np.full((b, n), -1, dtype=np.int64)
@@ -95,15 +95,14 @@ def _bfs_block(
             mask[srcs[fresh], nbrs[fresh]] = True
             new_srcs, new_nodes = np.nonzero(mask)
             dist[new_srcs, new_nodes] = depth
-        if count_paths:
-            # Path counts flow over every edge that lands on this level,
-            # including edges into nodes discovered at an earlier gather.
-            on_level = dist[srcs, nbrs] == depth
-            np.add.at(
-                sigma,
-                (srcs[on_level], nbrs[on_level]),
-                sigma[srcs[on_level], via[on_level]],
-            )
+        # Path counts flow over every edge that lands on this level,
+        # including edges into nodes discovered at an earlier gather.
+        on_level = dist[srcs, nbrs] == depth
+        np.add.at(
+            sigma,
+            (srcs[on_level], nbrs[on_level]),
+            sigma[srcs[on_level], via[on_level]],
+        )
         if not found:
             break
         levels.append((new_srcs, new_nodes))
@@ -113,15 +112,18 @@ def _bfs_block(
 def closeness_centrality(graph: UndirectedGraph) -> dict[Hashable, float]:
     """Closeness ``l_u = (|U| - 1) / sum_{v reachable} z_uv`` for every node.
 
-    Isolated nodes (no reachable neighbors) get closeness 0.
+    Isolated nodes (no reachable neighbors) get closeness 0.  Hop
+    distances are small integers held exactly in float64, so every row
+    sum is exact.
     """
     nodes, indptr, indices = _csr(graph)
     n = len(nodes)
+    adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     out: dict[Hashable, float] = {}
     for start in range(0, n, _BLOCK):
         sources = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
-        dist, _, _ = _bfs_block(indptr, indices, sources, n, count_paths=False)
-        totals = np.where(dist > 0, dist, 0).sum(axis=1)
+        dist = shortest_path(adjacency, method="D", unweighted=True, indices=sources)
+        totals = np.where(np.isfinite(dist), dist, 0.0).sum(axis=1)
         for i, total in zip(sources, totals):
             out[nodes[i]] = (n - 1) / total if total > 0 else 0.0
     return out

@@ -3,8 +3,8 @@
 The paper (Sec. II-A.1) deliberately uses a *linear* model for the
 answer-probability task ``a_uq`` to avoid overfitting the extremely sparse
 user-question matrix.  This implementation minimizes the L2-regularized
-negative log likelihood with full-batch Adam, which is deterministic given
-the data.
+mean negative log likelihood by damped Newton iterations (IRLS) from
+zero, so a fit is a deterministic function of its data.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import numpy as np
 
 from .activations import sigmoid
 from .network import tiled_matmul
-from .optimizers import Adam
 
 __all__ = ["LogisticRegression"]
 
@@ -24,23 +23,17 @@ class LogisticRegression:
     Parameters
     ----------
     l2:
-        L2 penalty on the coefficients (not the intercept).
-    learning_rate, max_iter, tol:
-        Full-batch Adam settings; training stops early when the loss
-        improvement falls below ``tol``.
+        L2 penalty on the coefficients (not the intercept).  The
+        objective is ``mean NLL + 0.5 * (l2 / n) * ||beta||^2``.
+    max_iter, tol:
+        Newton settings; training stops when one step lowers the loss
+        by less than ``tol``.
     """
 
-    def __init__(
-        self,
-        l2: float = 1e-3,
-        learning_rate: float = 0.05,
-        max_iter: int = 2000,
-        tol: float = 1e-8,
-    ):
+    def __init__(self, l2: float = 1e-3, max_iter: int = 100, tol: float = 1e-8):
         if l2 < 0:
             raise ValueError("l2 must be non-negative")
         self.l2 = l2
-        self.learning_rate = learning_rate
         self.max_iter = max_iter
         self.tol = tol
         self.coef_: np.ndarray | None = None
@@ -61,45 +54,47 @@ class LogisticRegression:
         if not np.all(np.isin(y, (0.0, 1.0))):
             raise ValueError("y must be binary 0/1")
         n, d = x.shape
-        # Coefficients and intercept share one flat vector so the fused
-        # Adam step updates a single array; buffers below are reused
-        # across all full-batch iterations (nothing allocates per iter).
-        wb = np.zeros(d + 1)
-        beta = wb[:d]
-        grad = np.empty(d + 1)
-        z = np.empty(n)
-        p = np.empty(n)
-        r = np.empty(n)
-        t = np.empty(n)
-        opt = Adam(learning_rate=self.learning_rate)
-        self.loss_history_ = []
-        prev_loss = np.inf
+        design = np.column_stack([x, np.ones(n)])
+        ridge = np.full(d + 1, self.l2 / n)
+        ridge[d] = 0.0  # do not penalize the intercept
+
+        def loss_at(w: np.ndarray, z: np.ndarray) -> float:
+            # Mean NLL in the stable form log(1 + e^z) - y z.
+            nll = float(np.mean(np.logaddexp(0.0, z) - y * z))
+            return nll + 0.5 * float(ridge @ w**2)
+
+        w = np.zeros(d + 1)
+        z = np.zeros(n)
+        loss = loss_at(w, z)
+        self.loss_history_ = [loss]
         for _ in range(self.max_iter):
-            np.matmul(x, beta, out=z)
-            z += wb[d]
-            sigmoid(z, out=p)
-            # Mean NLL with a stable formulation log(1+e^z) - y z.
-            np.abs(z, out=t)
-            np.negative(t, out=t)
-            np.exp(t, out=t)
-            np.log1p(t, out=t)
-            t += np.maximum(z, 0.0)
-            np.multiply(y, z, out=r)
-            t -= r
-            nll = float(np.mean(t))
-            loss = nll + 0.5 * self.l2 * float(beta @ beta) / n
+            p = sigmoid(z)
+            grad = design.T @ (p - y) / n + ridge * w
+            hess = (design * (p * (1.0 - p) / n)[:, None]).T @ design
+            hess[np.diag_indices(d + 1)] += ridge
+            try:
+                step = np.linalg.solve(hess, grad)
+            except np.linalg.LinAlgError:
+                step = np.linalg.lstsq(hess, grad, rcond=None)[0]
+            # Damped update: halve the step until the loss does not rise.
+            step_size = 1.0
+            for _ in range(30):
+                candidate = w - step_size * step
+                z_c = design @ candidate
+                loss_c = loss_at(candidate, z_c)
+                if loss_c <= loss:
+                    break
+                step_size *= 0.5
+            else:
+                break  # no step lowers the loss: converged to rounding
+            w, z = candidate, z_c
+            decrease = loss - loss_c
+            loss = loss_c
             self.loss_history_.append(loss)
-            np.subtract(p, y, out=r)
-            r /= n
-            np.matmul(x.T, r, out=grad[:d])
-            grad[:d] += (self.l2 / n) * beta
-            grad[d] = r.sum()
-            opt.step([wb], [grad])
-            if abs(prev_loss - loss) < self.tol:
+            if decrease < self.tol:
                 break
-            prev_loss = loss
-        self.coef_ = wb[:d].copy()
-        self.intercept_ = float(wb[d])
+        self.coef_ = w[:d].copy()
+        self.intercept_ = float(w[d])
         return self
 
     def predict_proba(self, x: np.ndarray) -> np.ndarray:

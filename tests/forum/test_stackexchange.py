@@ -146,6 +146,14 @@ class TestApiJson:
         with pytest.raises(ValueError):
             load_api_json(path)
 
+    def test_missing_question_id_names_record(self, tmp_path):
+        items = [dict(q) for q in API_JSON["items"]]
+        del items[1]["question_id"]
+        path = tmp_path / "no_id.json"
+        path.write_text(json.dumps({"items": items}))
+        with pytest.raises(ValueError, match="record 1 has no 'question_id'"):
+            load_api_json(path)
+
     def test_pipeline_integration(self, api_path):
         """Loaded real-format data flows through preprocessing."""
         ds = load_api_json(api_path)

@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from repro.graphs.centrality import betweenness_centrality, closeness_centrality
 from repro.graphs.graph import UndirectedGraph
 
+from .closeness_oracle import reference_closeness
+
 
 def to_nx(graph):
     g = nx.Graph()
@@ -26,6 +28,36 @@ def random_graph(n, p, seed):
         for j in range(i + 1, n):
             if rng.uniform() < p:
                 g.add_edge(i, j)
+    return g
+
+
+def random_forest_of_components(n, n_components, isolated_frac, density, seed):
+    """A disconnected graph: isolated nodes plus many random components.
+
+    Node labels are shuffled so iteration order does not follow the
+    component structure.
+    """
+    rng = np.random.default_rng(seed)
+    labels = rng.permutation(n)
+    g = UndirectedGraph()
+    for v in labels:
+        g.add_node(int(v))
+    n_isolated = int(isolated_frac * n)
+    component = rng.integers(0, n_components, size=n - n_isolated)
+    members = labels[n_isolated:]
+    for c in range(n_components):
+        nodes = members[component == c]
+        k = len(nodes)
+        if k < 2:
+            continue
+        # A random spanning path keeps the component connected; extra
+        # random edges add cycles and shortcuts.
+        for u, v in zip(nodes[:-1], nodes[1:]):
+            g.add_edge(int(u), int(v))
+        extra = rng.integers(0, k, size=(int(density * k), 2))
+        for u, v in extra:
+            if u != v:
+                g.add_edge(int(nodes[u]), int(nodes[v]))
     return g
 
 
@@ -63,6 +95,27 @@ class TestCloseness:
         theirs = nx.closeness_centrality(to_nx(g))
         for node in g.nodes():
             assert ours[node] == pytest.approx(theirs[node], abs=1e-10)
+
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        st.integers(257, 700),
+        st.integers(2, 80),
+        st.floats(0.0, 0.3),
+        st.floats(0.0, 2.0),
+        st.integers(0, 2**32 - 1),
+    )
+    def test_bit_identical_to_block_bfs_oracle_on_disconnected(
+        self, n, n_components, isolated_frac, density, seed
+    ):
+        # More than one 256-source block, isolated nodes and many
+        # components: the cases the networkx check above skips.
+        g = random_forest_of_components(n, n_components, isolated_frac, density, seed)
+        ours = closeness_centrality(g)
+        oracle = reference_closeness(g)
+        assert list(ours) == list(oracle)
+        for node, value in oracle.items():
+            assert ours[node] == value
 
 
 class TestBetweenness:
