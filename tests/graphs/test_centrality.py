@@ -31,7 +31,7 @@ def random_graph(n, p, seed):
     return g
 
 
-def random_forest_of_components(n, n_components, isolated_frac, density, seed):
+def random_disconnected_graph(n, n_components, isolated_frac, density, seed):
     """A disconnected graph: isolated nodes plus many random components.
 
     Node labels are shuffled so iteration order does not follow the
@@ -96,7 +96,6 @@ class TestCloseness:
         for node in g.nodes():
             assert ours[node] == pytest.approx(theirs[node], abs=1e-10)
 
-
     @settings(max_examples=15, deadline=None)
     @given(
         st.integers(257, 700),
@@ -110,7 +109,7 @@ class TestCloseness:
     ):
         # More than one 256-source block, isolated nodes and many
         # components: the cases the networkx check above skips.
-        g = random_forest_of_components(n, n_components, isolated_frac, density, seed)
+        g = random_disconnected_graph(n, n_components, isolated_frac, density, seed)
         ours = closeness_centrality(g)
         oracle = reference_closeness(g)
         assert list(ours) == list(oracle)
