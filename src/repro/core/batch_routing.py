@@ -32,6 +32,7 @@ from scipy.optimize import linprog
 
 from .. import perf
 from ..forum.models import Thread
+from .features import PairBlocks
 from .routing import QuestionRouter, solve_routing_lp
 
 __all__ = ["BatchAssignment", "route_batch", "route_batch_greedy"]
@@ -66,13 +67,12 @@ def _score_matrix(
     n_q, n_u = len(threads), len(candidates)
     scores = np.full((n_q, n_u), -np.inf)
     eligible = np.zeros((n_q, n_u), dtype=bool)
+    users = np.asarray(candidates, dtype=np.int64)
     for qi, thread in enumerate(threads):
         preds = router.predictor.predict_batch(
-            [(u, thread) for u in candidates]
+            PairBlocks(users, [thread], np.array([n_u]))
         )
-        ok = (preds["answer"] >= router.epsilon) & (
-            np.array(candidates) != thread.asker
-        )
+        ok = (preds["answer"] >= router.epsilon) & (users != thread.asker)
         eligible[qi] = ok
         scores[qi, ok] = (
             preds["votes"][ok] - tradeoff * preds["response_time"][ok]

@@ -28,7 +28,7 @@ from .. import perf
 from ..forum.dataset import ForumDataset
 from ..forum.models import Thread
 from .answer_model import AnswerModel
-from .features import FeatureExtractor
+from .features import FeatureExtractor, PairBlocks
 from .parallel import parallel_map
 from .resilience import NonFiniteFeatureError
 from .state import ForumState
@@ -324,15 +324,18 @@ class ForumPredictor:
         )
 
     def predict_batch(
-        self, pairs: list[tuple[int, Thread]]
+        self, pairs: list[tuple[int, Thread]] | PairBlocks
     ) -> dict[str, np.ndarray]:
-        """Vectorized predictions: arrays keyed answer/votes/response_time."""
+        """Vectorized predictions: arrays keyed answer/votes/response_time,
+        for pairs in either form ``feature_matrix`` takes."""
         self._check_fitted()
-        if not pairs:
+        if not isinstance(pairs, PairBlocks):
+            pairs = PairBlocks.from_pairs(pairs)
+        if not len(pairs):
             empty = np.empty(0)
             return {"answer": empty, "votes": empty, "response_time": empty}
         x = self.extractor.feature_matrix(pairs)
-        horizons = self._horizons([t for _, t in pairs])
+        horizons = np.repeat(self._horizons(pairs.threads), pairs.sizes)
         return self.predict_matrix(x, horizons)
 
     def predict_matrix(

@@ -271,14 +271,9 @@ class CandidateRetriever:
                 ranked, rrf_k=cfg.rrf_k, pool_size=cfg.pool_size
             )
             known = np.union1d(self.indexed_users, self._recency.users)
-            sorted_candidates = np.sort(candidates)
             pool = np.union1d(
-                sorted_candidates[
-                    _sorted_member(sorted_candidates, fused)
-                ],
-                sorted_candidates[
-                    ~_sorted_member(sorted_candidates, known)
-                ],
+                candidates[_sorted_member(candidates, fused)],
+                candidates[~_sorted_member(candidates, known)],
             )
         perf.incr("retrieval.queries")
         perf.incr("retrieval.pool_users", int(pool.size))

@@ -40,6 +40,7 @@ import numpy as np
 from .. import perf
 from ..forum.dataset import ForumDataset
 from ..forum.models import Thread
+from .features import PairBlocks
 from .pipeline import ForumPredictor
 
 __all__ = [
@@ -285,7 +286,9 @@ class QuestionRouter:
         """
         if self._two_stage():
             return self.retriever.pool(thread, candidates)
-        return np.sort(np.asarray(candidates, dtype=np.int64))
+        candidates = np.asarray(candidates, dtype=np.int64)
+        ordered = np.all(candidates[:-1] <= candidates[1:])
+        return candidates if ordered else np.sort(candidates)
 
     def recommend(
         self,
@@ -382,11 +385,12 @@ class QuestionRouter:
         pool_size: int | None = None,
         predictions: dict[str, np.ndarray] | None = None,
     ) -> RoutingResult | None:
+        candidates = np.asarray(candidates, dtype=np.int64)
         preds = (
             predictions
             if predictions is not None
             else self.predictor.predict_batch(
-                [(int(u), thread) for u in candidates]
+                PairBlocks(candidates, [thread], np.array([candidates.size]))
             )
         )
         eligible = np.flatnonzero(preds["answer"] >= self.epsilon)
@@ -394,7 +398,7 @@ class QuestionRouter:
             return None
         return finish_recommendation(
             thread.thread_id,
-            np.asarray(candidates, dtype=np.int64)[eligible],
+            candidates[eligible],
             preds["answer"][eligible],
             preds["votes"][eligible],
             preds["response_time"][eligible],

@@ -37,6 +37,7 @@ from ... import perf
 from ...forum.dataset import ForumDataset
 from ...forum.models import Thread
 from ...ml.ranking import mean_reciprocal_rank, ndcg_at_k, precision_at_k
+from ..features import PairBlocks
 from ..pipeline import ForumPredictor, PredictorConfig
 from ..resilience import (
     DegradationReport,
@@ -170,9 +171,9 @@ class _PreparedQuery:
 
     thread: Thread
     now: float
-    candidates: list[int]
+    candidates: np.ndarray
     pool: np.ndarray | None
-    rank_candidates: list[int]
+    rank_candidates: np.ndarray
 
 
 @dataclass
@@ -251,7 +252,8 @@ class ServingCore:
         self._predictor: ForumPredictor | None = None
         self._state: ForumState | None = None
         self._router: QuestionRouter | None = None
-        self._candidates: list[int] = []
+        # Sorted, distinct int64 ids; rebound once per refit epoch.
+        self._candidates = np.empty(0, dtype=np.int64)
         # Shared across refit strategies: the retriever persists so its
         # indices refresh (and MF warm-starts) instead of rebuilding,
         # and the load tracker accumulates the replayed answer events.
@@ -375,7 +377,7 @@ class ServingCore:
             retriever=self._bind_retriever(),
             load_tracker=self._load if cfg.track_load else None,
         )
-        self._candidates = sorted(candidates)
+        self._candidates = np.unique(np.fromiter(candidates, dtype=np.int64))
         self.refit_epoch += 1
         self._cache.clear()
 
@@ -590,8 +592,8 @@ class ServingCore:
         if self._router is None or now < cfg.warmup_hours:
             return None, "not_ready"
         report.n_questions_seen += 1
-        candidates = [u for u in self._candidates if u != thread.asker]
-        if not candidates:
+        candidates = self._candidates[self._candidates != thread.asker]
+        if not candidates.size:
             return None, "no_candidates"
         # Two-stage retrieval: one pool per question, shared by the
         # ranking and the LP; dense mode scores every candidate.
@@ -600,7 +602,7 @@ class ServingCore:
         if self._router.retriever is not None:
             pool = self._router.candidate_pool(thread, candidates)
             if pool.size:
-                rank_candidates = [int(u) for u in pool]
+                rank_candidates = pool
             elif not self._router.retriever.config.dense_fallback:
                 return None, "no_candidates"
             # Empty pool with fallback enabled: rank densely here and
@@ -624,7 +626,7 @@ class ServingCore:
             return None
         tid = prepared.thread.thread_id
         triples = []
-        for user in prepared.rank_candidates:
+        for user in prepared.rank_candidates.tolist():
             triple = cache.get(user, tid)
             if triple is None:
                 return None
@@ -645,7 +647,7 @@ class ServingCore:
         answer = predictions["answer"]
         votes = predictions["votes"]
         response_time = predictions["response_time"]
-        for j, user in enumerate(prepared.rank_candidates):
+        for j, user in enumerate(prepared.rank_candidates.tolist()):
             self._cache.put(
                 user,
                 tid,
@@ -686,23 +688,22 @@ class ServingCore:
             else:
                 missed.append(i)
         if missed:
-            sizes = [len(prepared_list[i].rank_candidates) for i in missed]
-            pairs = [
-                (u, prepared_list[i].thread)
-                for i in missed
-                for u in prepared_list[i].rank_candidates
-            ]
-            horizons = np.repeat(
-                predictor._horizons([prepared_list[i].thread for i in missed]),
+            queries = [prepared_list[i] for i in missed]
+            threads = [p.thread for p in queries]
+            sizes = np.array([p.rank_candidates.size for p in queries])
+            blocks = PairBlocks(
+                np.concatenate([p.rank_candidates for p in queries]),
+                threads,
                 sizes,
             )
+            horizons = np.repeat(predictor._horizons(threads), sizes)
             with perf.timer("online.rank"):
-                x = predictor.extractor.feature_matrix(pairs)
+                x = predictor.extractor.feature_matrix(blocks)
                 predictions = predictor.predict_matrix(
                     x, horizons, epsilon=self._router.epsilon
                 )
             start = 0
-            for i, size in zip(missed, sizes):
+            for i, size in zip(missed, sizes.tolist()):
                 sliced = {
                     key: values[start : start + size]
                     for key, values in predictions.items()
@@ -736,7 +737,7 @@ class ServingCore:
                 scores = np.where(bad, -np.inf, scores)
                 degraded = True
         order = np.argsort(-scores, kind="stable")
-        ranked = [prepared.rank_candidates[i] for i in order[: cfg.top_k]]
+        ranked = prepared.rank_candidates[order[: cfg.top_k]].tolist()
         actual = set(thread.answerers)
         if actual:
             report.rankings.append((ranked, actual))

@@ -129,11 +129,15 @@ def load_api_json(path: str | Path) -> ForumDataset:
     ``creation_date`` (epoch seconds), ``score``, ``body``,
     ``owner.user_id`` and optionally ``answers`` with the same fields
     (``answer_id`` instead of ``question_id``).  A question without
-    ``question_id`` raises ``ValueError`` naming its index.
+    ``question_id`` raises ``ValueError`` naming its index.  An envelope
+    with ``has_more: true`` is one truncated page of a longer result and
+    raises ``ValueError``: merge every page's items before loading.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
+    if isinstance(payload, dict) and payload.get("has_more"):
+        raise ValueError("API page is truncated (has_more: true)")
     items = payload.get("items", payload) if isinstance(payload, dict) else payload
     if not isinstance(items, list):
         raise ValueError("expected a list of questions or an 'items' envelope")

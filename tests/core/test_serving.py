@@ -10,14 +10,17 @@ refit-epoch prediction cache changes latency, never answers.
 """
 
 import asyncio
+import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
+import numpy as np
 import pytest
 
 from repro.core.online import OnlineConfig, OnlineRecommendationLoop
 from repro.core.pipeline import ForumPredictor, PredictorConfig
 from repro.core.resilience import DegradationReport, ResilienceConfig
+from repro.core.retrieval import RetrievalConfig
 from repro.core.serving import (
     AdmissionConfig,
     BatchPolicy,
@@ -456,6 +459,72 @@ class TestBatchedRoutingContract:
         core, questions = exact_routing_case(900, 700)
         assert len(core._candidates) >= 300
         assert_batches_of_8_equal_sequential(core, questions)
+
+
+class TestResponsesHoldBuiltinInts:
+    """Candidates travel as int64 arrays down to the feature kernel;
+    every response still holds builtin ints and serializes to JSON."""
+
+    @pytest.fixture(scope="class")
+    def case(self, stream_dataset):
+        predictor = ForumPredictor(FAST_PREDICTOR).fit(stream_dataset)
+        small_pool = RetrievalConfig(
+            topic_top_k=8, recency_top_k=8, mf_top_k=8, pool_size=8
+        )
+        cores = {
+            name: ServingCore.from_artifacts(
+                predictor,
+                stream_dataset.answerers,
+                online_config=OnlineConfig(
+                    warmup_hours=0.0, retrieval=retrieval
+                ),
+            )
+            for name, retrieval in (("dense", None), ("two_stage", small_pool))
+        }
+        last = stream_dataset.threads[-1]
+        question = make_question(
+            860000, last.asker, last.created_at + 1.0,
+            body=last.question.body,
+        )
+        return cores, question
+
+    @staticmethod
+    def route(core, question):
+        response = core.route(question, question.created_at, OnlineReport())
+        assert response.ok
+        assert response.ranked
+        assert all(type(u) is int for u in response.ranked)
+        assert all(type(u) is int for u, _ in response.routed)
+        json.dumps(asdict(response))
+        return response
+
+    def test_dense_path(self, case):
+        cores, question = case
+        assert not self.route(cores["dense"], question).degraded
+
+    def test_two_stage_path(self, case):
+        cores, question = case
+        core = cores["two_stage"]
+        pool = core._router.candidate_pool(question, core._candidates)
+        assert 0 < pool.size < core._candidates.size
+        assert not self.route(core, question).degraded
+
+    def test_dense_fallback_path(self, case, monkeypatch):
+        """A pool of one ineligible user: the router retries densely."""
+        cores, question = case
+        core = cores["two_stage"]
+        candidates = core._candidates[core._candidates != question.asker]
+        answer = core._predictor.predict_batch(
+            [(int(u), question) for u in candidates]
+        )["answer"]
+        assert answer.min() < core.online_config.epsilon
+        worst = candidates[[int(np.argmin(answer))]]
+        monkeypatch.setattr(
+            core._router.retriever, "pool", lambda thread, users: worst
+        )
+        response = self.route(core, question)
+        assert response.degraded  # the dense fallback produced it
+        assert response.ranked == worst.tolist()
 
 
 class TestSegmentInference:

@@ -154,6 +154,17 @@ class TestApiJson:
         with pytest.raises(ValueError, match="record 1 has no 'question_id'"):
             load_api_json(path)
 
+    @pytest.mark.parametrize("has_more", [True, False])
+    def test_truncated_page_rejected(self, tmp_path, has_more):
+        """``has_more: true`` marks one page of a longer result."""
+        path = tmp_path / "page.json"
+        path.write_text(json.dumps({**API_JSON, "has_more": has_more}))
+        if has_more:
+            with pytest.raises(ValueError, match="truncated"):
+                load_api_json(path)
+        else:
+            assert len(load_api_json(path)) == 2
+
     def test_pipeline_integration(self, api_path):
         """Loaded real-format data flows through preprocessing."""
         ds = load_api_json(api_path)
