@@ -6,7 +6,9 @@ Three measurements, recorded together in ``BENCH_retrieval.json``:
   default bench forum, the fused candidate pool must cover the dense
   eligible set with recall >= 0.95 at the default budgets, while
   actually pruning the scored population.  Routing decisions are
-  compared pick-for-pick against the dense path.
+  compared pick-for-pick against the dense path, and ``pool`` is timed
+  per question against its set-algebra oracle
+  (``tests/retrieval_oracle.py``), the pools asserted equal.
 * **Large-scale speedup** (``@slow``) — a 26k-user forum with 10k+
   candidate answerers; end-to-end per-question routing (predict +
   LP) through the two-stage pool must be >= 5x faster than dense
@@ -16,6 +18,7 @@ Three measurements, recorded together in ``BENCH_retrieval.json``:
   quantifies what the bounded pool costs (or gains) end to end.
 """
 
+import sys
 import time
 from pathlib import Path
 
@@ -40,7 +43,12 @@ from repro.core.retrieval import (
 )
 from repro.forum import ForumConfig, generate_forum
 
-RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_retrieval.json"
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+
+from tests.retrieval_oracle import pool_oracle  # noqa: E402
+
+RESULT_PATH = ROOT / "BENCH_retrieval.json"
 
 # The large-scale arm sizes the forum for >= 10k distinct answerers in
 # the training window; featurization cost, not model quality, is what
@@ -61,6 +69,7 @@ LARGE_RETRIEVAL = RetrievalConfig(
 
 RECALL_FLOOR = 0.95
 SPEEDUP_FLOOR = 5.0
+POOL_REPEATS = 7
 
 
 def _merge_record(section: str, payload: dict) -> None:
@@ -109,6 +118,34 @@ def _pick_parity(dense_results, pooled_results):
     return (agree / comparable if comparable else 1.0), comparable
 
 
+def _time_pool_vs_oracle(retriever, threads, candidates):
+    """(pool, oracle) µs per question: best of ``POOL_REPEATS`` each.
+
+    The two take turns, and which goes first alternates per round, so
+    drift in the host's speed falls on both.  Every pool must equal the
+    oracle's.
+    """
+    arms = {
+        "pool": retriever.pool,
+        "oracle": lambda t, c: pool_oracle(retriever, t, c),
+    }
+    best = {name: [] for name in arms}
+    for thread in threads:
+        expected = pool_oracle(retriever, thread, candidates)
+        np.testing.assert_array_equal(
+            retriever.pool(thread, candidates), expected
+        )
+        times = {name: float("inf") for name in arms}
+        for r in range(POOL_REPEATS):
+            for name in sorted(arms, reverse=r % 2 == 1):
+                start = time.perf_counter()
+                arms[name](thread, candidates)
+                times[name] = min(times[name], time.perf_counter() - start)
+        for name in arms:
+            best[name].append(times[name])
+    return tuple(float(np.mean(best[name])) * 1e6 for name in ("pool", "oracle"))
+
+
 def test_tier1_recall_smoke(benchmark, dataset, config):
     """Pool recall vs the dense eligible set at Tier-1 scale (CI gate)."""
     history, final = _split_final_day(dataset)
@@ -140,6 +177,10 @@ def test_tier1_recall_smoke(benchmark, dataset, config):
     mean_recall = float(np.mean(recalls))
     min_recall = float(np.min(recalls))
     parity, comparable = _pick_parity(dense_results, pooled_results)
+    # The serving path's form: one ascending int64 candidate array.
+    pool_us, oracle_us = _time_pool_vs_oracle(
+        retriever, threads, np.asarray(candidates, dtype=np.int64)
+    )
 
     payload = {
         "forum": {
@@ -154,12 +195,17 @@ def test_tier1_recall_smoke(benchmark, dataset, config):
         "eligible_recall_min": round(min_recall, 4),
         "top_pick_agreement": round(parity, 4),
         "questions_compared": comparable,
+        "pool_us_per_question": round(pool_us, 1),
+        "oracle_pool_us_per_question": round(oracle_us, 1),
+        "pool_repeats": POOL_REPEATS,
     }
     _merge_record("tier1_smoke", payload)
     print(
         f"\nTier-1 retrieval smoke: recall {mean_recall:.3f} "
         f"(min {min_recall:.3f}), pool {np.mean(pool_sizes):.0f} of "
-        f"{len(candidates)} candidates, top-pick agreement {parity:.3f}"
+        f"{len(candidates)} candidates, top-pick agreement {parity:.3f}; "
+        f"pool {pool_us:.0f} µs/question vs set-algebra oracle "
+        f"{oracle_us:.0f} µs (best of {POOL_REPEATS}, pools equal)"
     )
     assert mean_recall >= RECALL_FLOOR
     # The pool must actually prune, not just pass everyone through.

@@ -53,17 +53,23 @@ def reciprocal_rank_fusion(
     if not lists:
         return np.empty(0, dtype=np.int64)
     nominees = np.concatenate(lists)
+    # One stable sort groups the nominees into the ascending-id axis.
+    by_id = np.argsort(nominees, kind="stable")
+    grouped = nominees[by_id]
+    first = np.ones(grouped.size, dtype=bool)
+    first[1:] = grouped[1:] != grouped[:-1]
+    user_ids = grouped[first]
+    if pool_size is None or pool_size >= user_ids.size:
+        return user_ids
+    inverse = np.empty(nominees.size, dtype=np.int64)
+    inverse[by_id] = np.cumsum(first) - 1
     contributions = np.concatenate(
         [1.0 / (rrf_k + np.arange(1, r.size + 1)) for r in lists]
     )
-    # ``np.unique`` returns the ascending-id axis; ``np.add.at``
-    # accumulates in concatenation order, i.e. the same float-addition
-    # order as summing generator by generator.
-    user_ids, inverse = np.unique(nominees, return_inverse=True)
-    if pool_size is None or pool_size >= user_ids.size:
-        return user_ids
-    scores = np.zeros(user_ids.size)
-    np.add.at(scores, inverse, contributions)
+    # ``bincount`` adds each user's weights in input (concatenation)
+    # order, i.e. the same float-addition order as summing generator
+    # by generator.
+    scores = np.bincount(inverse, weights=contributions)
     order = np.lexsort((user_ids, -scores))
     return np.sort(user_ids[order][:pool_size])
 
@@ -249,10 +255,15 @@ class CandidateRetriever:
         ``candidates`` is the caller's full universe; the pool is its
         subset.  Candidates unknown to every index (no window history)
         are kept unconditionally — retrieval prunes among users it has
-        evidence about, it never silently drops the rest.
+        evidence about, it never silently drops the rest.  The pool is
+        one boolean mask over the ascending, distinct candidates (what
+        the serving path passes; anything else is normalised once).
         """
         cfg = self.config
         candidates = np.asarray(candidates, dtype=np.int64)
+        n_candidates = candidates.size
+        if not np.all(candidates[1:] > candidates[:-1]):
+            candidates = np.unique(candidates)
         if self._topic_index is None:
             raise RuntimeError("retriever is not built")
         with perf.timer("retrieval.query"):
@@ -270,12 +281,11 @@ class CandidateRetriever:
             fused = reciprocal_rank_fusion(
                 ranked, rrf_k=cfg.rrf_k, pool_size=cfg.pool_size
             )
-            known = np.union1d(self.indexed_users, self._recency.users)
-            pool = np.union1d(
-                candidates[_sorted_member(candidates, fused)],
-                candidates[~_sorted_member(candidates, known)],
-            )
+            in_fused = _sorted_member(candidates, fused)
+            in_indexed = _sorted_member(candidates, self.indexed_users)
+            in_recency = _sorted_member(candidates, self._recency.users)
+            pool = candidates[in_fused | ~(in_indexed | in_recency)]
         perf.incr("retrieval.queries")
         perf.incr("retrieval.pool_users", int(pool.size))
-        perf.incr("retrieval.candidate_users", int(candidates.size))
+        perf.incr("retrieval.candidate_users", n_candidates)
         return pool

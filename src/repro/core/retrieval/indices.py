@@ -168,7 +168,9 @@ class TopicInvertedIndex:
             return top_k_by_score(self.user_ids, scores, top_k)
         budget = per_topic if per_topic is not None else top_k
         strongest = np.argsort(-theta, kind="stable")[:query_topics]
-        rows: list[np.ndarray] = []
+        # One mark per index row: flatnonzero yields the postings' union
+        # ascending and distinct, the axis top_k_by_score expects.
+        expanded = np.zeros(self.user_ids.size, dtype=bool)
         for topic in strongest:
             if theta[topic] <= 0.0:
                 continue
@@ -179,10 +181,8 @@ class TopicInvertedIndex:
                 )
                 self._postings[int(topic)] = postings
                 perf.incr("retrieval.topic_postings_rebuilt")
-            rows.append(postings[:budget])
-        if not rows:
-            return self.user_ids[:0]
-        subset = np.unique(np.concatenate(rows))
+            expanded[postings[:budget]] = True
+        subset = np.flatnonzero(expanded)
         scores = self.user_topics[subset] @ theta
         return top_k_by_score(self.user_ids[subset], scores, top_k)
 
@@ -194,10 +194,13 @@ class RecencyIndex:
     eviction of any thread (the window slides by *question* creation
     time, not answer time) restores the exact remaining aggregate.
     ``observe``/``forget`` are the hooks the state listener drives.
+    Each hook also keeps the user's ``(latest_ts, n_answers)`` total
+    current, so the query tables never walk every user's map.
     """
 
     def __init__(self):
         self._per_user: dict[int, dict[int, tuple[float, int]]] = {}
+        self._totals: dict[int, tuple[float, int]] = {}
         self._version = 0
         self._cache: tuple[int, np.ndarray, np.ndarray, np.ndarray] | None = None
         self._ranked: tuple[int, np.ndarray] | None = None
@@ -207,9 +210,12 @@ class RecencyIndex:
 
     def observe(self, user: int, thread_id: int, timestamp: float) -> None:
         """Fold one answer event (from append or a fresh build)."""
+        timestamp = float(timestamp)
         per_user = self._per_user.setdefault(user, {})
         latest, count = per_user.get(thread_id, (-np.inf, 0))
-        per_user[thread_id] = (max(latest, float(timestamp)), count + 1)
+        per_user[thread_id] = (max(latest, timestamp), count + 1)
+        latest, count = self._totals.get(user, (-np.inf, 0))
+        self._totals[user] = (max(latest, timestamp), count + 1)
         self._version += 1
 
     def forget(self, user: int, thread_id: int) -> None:
@@ -218,8 +224,12 @@ class RecencyIndex:
         if per_user is None:
             return
         per_user.pop(thread_id, None)
-        if not per_user:
+        if per_user:
+            latest, counts = zip(*per_user.values())
+            self._totals[user] = (max(latest), sum(counts))
+        else:
             del self._per_user[user]
+            del self._totals[user]
         self._version += 1
 
     def observe_block(
@@ -236,17 +246,20 @@ class RecencyIndex:
         without a per-post ``observe`` call each.  Equivalent to calling
         :meth:`observe` once per underlying event.
         """
-        per_user_map = self._per_user
+        per_user_map, totals = self._per_user, self._totals
         for user, tid, count, ts in zip(
             users.tolist(), thread_ids.tolist(), counts.tolist(), latest.tolist()
         ):
             per_user = per_user_map.setdefault(user, {})
             prev_latest, prev_count = per_user.get(tid, (-np.inf, 0))
             per_user[tid] = (max(prev_latest, ts), prev_count + count)
+            prev_latest, prev_count = totals.get(user, (-np.inf, 0))
+            totals[user] = (max(prev_latest, ts), prev_count + count)
         self._version += 1
 
     def clear(self) -> None:
         self._per_user.clear()
+        self._totals.clear()
         self._cache = None
         self._ranked = None
         self._version += 1
@@ -261,14 +274,16 @@ class RecencyIndex:
         """Canonical (user_ids, latest_ts, counts) arrays, cached."""
         if self._cache is not None and self._cache[0] == self._version:
             return self._cache[1], self._cache[2], self._cache[3]
-        users = sorted(self._per_user)
-        user_ids = ensure_ids(np.array(users, dtype=np.int64), "user id")
-        latest = np.empty(len(users))
-        counts = np.empty(len(users), dtype=np.int64)
-        for i, user in enumerate(users):
-            per_user = self._per_user[user]
-            latest[i] = max(ts for ts, _ in per_user.values())
-            counts[i] = sum(n for _, n in per_user.values())
+        n = len(self._totals)
+        users = np.fromiter(self._totals, dtype=np.int64, count=n)
+        totals = np.fromiter(
+            self._totals.values(),
+            dtype=[("latest", float), ("count", np.int64)],
+            count=n,
+        )
+        order = np.argsort(users)
+        user_ids = ensure_ids(users[order], "user id")
+        latest, counts = totals["latest"][order], totals["count"][order]
         self._cache = (self._version, user_ids, latest, counts)
         return user_ids, latest, counts
 

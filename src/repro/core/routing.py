@@ -33,6 +33,7 @@ falls back to the dense path when ``dense_fallback`` is set.
 from __future__ import annotations
 
 import heapq
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -253,6 +254,8 @@ class QuestionRouter:
         # Optional incremental load counter consulted when a call does
         # not pass ``recent_load`` explicitly.
         self.load_tracker = load_tracker
+        # Seconds the last :meth:`recommend` took, clocked inside it.
+        self.last_recommend_s = 0.0
 
     def recent_load(
         self, dataset: ForumDataset, now_hours: float
@@ -321,58 +324,62 @@ class QuestionRouter:
         reuse is bit-identical.  The dense *retry* after an infeasible
         nonempty pool scores a different set and always recomputes.
         """
-        if len(candidates) == 0:
-            return None
-        if recent_load is None and self.load_tracker is not None:
-            recent_load = self.load_tracker.counts(thread.created_at)
-        two_stage = self._two_stage()
-        if two_stage:
-            if pool is None:
-                pool = self.candidate_pool(thread, candidates)
-            result = (
-                self._recommend_dense(
+        start = time.perf_counter()
+        try:
+            if len(candidates) == 0:
+                return None
+            if recent_load is None and self.load_tracker is not None:
+                recent_load = self.load_tracker.counts(thread.created_at)
+            two_stage = self._two_stage()
+            if two_stage:
+                if pool is None:
+                    pool = self.candidate_pool(thread, candidates)
+                result = (
+                    self._recommend_dense(
+                        thread,
+                        pool,
+                        tradeoff=tradeoff,
+                        recent_load=recent_load,
+                        capacities=capacities,
+                        pool_size=int(pool.size),
+                        predictions=predictions,
+                    )
+                    if pool.size
+                    else None
+                )
+                if result is not None:
+                    return result
+                if (
+                    not self.retriever.config.dense_fallback
+                    or pool.size == len(candidates)
+                ):
+                    return None
+                perf.incr("retrieval.dense_fallbacks")
+                result = self._recommend_dense(
                     thread,
-                    pool,
+                    candidates,
                     tradeoff=tradeoff,
                     recent_load=recent_load,
                     capacities=capacities,
                     pool_size=int(pool.size),
-                    predictions=predictions,
+                    # An empty pool never got scored, so caller predictions
+                    # align with ``candidates`` and survive the fallback; a
+                    # nonempty pool's predictions do not.
+                    predictions=predictions if pool.size == 0 else None,
                 )
-                if pool.size
-                else None
-            )
-            if result is not None:
+                if result is not None:
+                    result = replace(result, dense_fallback=True)
                 return result
-            if (
-                not self.retriever.config.dense_fallback
-                or pool.size == len(candidates)
-            ):
-                return None
-            perf.incr("retrieval.dense_fallbacks")
-            result = self._recommend_dense(
+            return self._recommend_dense(
                 thread,
                 candidates,
                 tradeoff=tradeoff,
                 recent_load=recent_load,
                 capacities=capacities,
-                pool_size=int(pool.size),
-                # An empty pool never got scored, so caller predictions
-                # align with ``candidates`` and survive the fallback; a
-                # nonempty pool's predictions do not.
-                predictions=predictions if pool.size == 0 else None,
+                predictions=predictions,
             )
-            if result is not None:
-                result = replace(result, dense_fallback=True)
-            return result
-        return self._recommend_dense(
-            thread,
-            candidates,
-            tradeoff=tradeoff,
-            recent_load=recent_load,
-            capacities=capacities,
-            predictions=predictions,
-        )
+        finally:
+            self.last_recommend_s = time.perf_counter() - start
 
     def _recommend_dense(
         self,

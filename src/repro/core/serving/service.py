@@ -744,14 +744,17 @@ class ServingCore:
         # Routing pick: the Sec.-V LP over the eligible set (the pool,
         # when two-stage retrieval already narrowed it), reusing the
         # fused predictions instead of re-scoring the same pairs.
-        with perf.timer("online.route"):
-            result = self._router.recommend(
-                thread,
-                prepared.candidates,
-                tradeoff=cfg.tradeoff,
-                pool=prepared.pool,
-                predictions=predictions,
-            )
+        result = self._router.recommend(
+            thread,
+            prepared.candidates,
+            tradeoff=cfg.tradeoff,
+            pool=prepared.pool,
+            predictions=predictions,
+        )
+        # The router's own clock, blind to whatever wraps ``recommend``.
+        perf.get_registry().add_time(
+            "online.route", self._router.last_recommend_s
+        )
         if result is None:
             return RouteResponse(
                 thread.thread_id,

@@ -131,7 +131,9 @@ def load_api_json(path: str | Path) -> ForumDataset:
     (``answer_id`` instead of ``question_id``).  A question without
     ``question_id`` raises ``ValueError`` naming its index.  An envelope
     with ``has_more: true`` is one truncated page of a longer result and
-    raises ``ValueError``: merge every page's items before loading.
+    raises ``ValueError``: merge every page's items before loading.  An
+    answer dated before its own question raises ``ValueError`` naming
+    both ids; timestamps are never clamped.
     """
     path = Path(path)
     with open(path, encoding="utf-8") as fh:
@@ -146,7 +148,7 @@ def load_api_json(path: str | Path) -> ForumDataset:
     origin = min(float(q["creation_date"]) for q in items)
 
     def hours(epoch: float) -> float:
-        return max((epoch - origin) / 3600.0, 0.0)
+        return (epoch - origin) / 3600.0
 
     def owner_id(obj: dict) -> int:
         owner = obj.get("owner") or {}
@@ -157,24 +159,30 @@ def load_api_json(path: str | Path) -> ForumDataset:
         if "question_id" not in q:
             raise ValueError(f"question record {index} has no 'question_id'")
         qid = int(q["question_id"])
+        asked = float(q["creation_date"])
         thread = Thread(
             question=Post(
                 post_id=qid,
                 thread_id=qid,
                 author=owner_id(q),
-                timestamp=hours(float(q["creation_date"])),
+                timestamp=hours(asked),
                 votes=int(q.get("score", 0)),
                 body=str(q.get("body", "")),
                 is_question=True,
             )
         )
         for a in q.get("answers", []):
+            aid, answered = int(a["answer_id"]), float(a["creation_date"])
+            if answered < asked:
+                raise ValueError(
+                    f"answer {aid} is dated before its question {qid}"
+                )
             thread.add_answer(
                 Post(
-                    post_id=int(a["answer_id"]),
+                    post_id=aid,
                     thread_id=qid,
                     author=owner_id(a),
-                    timestamp=hours(float(a["creation_date"])),
+                    timestamp=hours(answered),
                     votes=int(a.get("score", 0)),
                     body=str(a.get("body", "")),
                     is_question=False,

@@ -154,6 +154,36 @@ class TestApiJson:
         with pytest.raises(ValueError, match="record 1 has no 'question_id'"):
             load_api_json(path)
 
+    @pytest.mark.parametrize(
+        "index, answered",
+        [
+            (0, 1528020000 - 1),  # before every question: was hour 0
+            (0, 1528020000 - 7200),
+            (1, 1528027200 - 3600),  # after the earliest question only
+        ],
+    )
+    def test_answer_before_its_question_rejected(self, tmp_path, index, answered):
+        items = [dict(q) for q in API_JSON["items"]]
+        qid = items[index]["question_id"]
+        items[index]["answers"] = [
+            {**API_JSON["items"][0]["answers"][0], "creation_date": answered}
+        ]
+        path = tmp_path / "early.json"
+        path.write_text(json.dumps({"items": items}))
+        with pytest.raises(
+            ValueError, match=f"answer 101 is dated before its question {qid}"
+        ):
+            load_api_json(path)
+
+    def test_answer_at_question_time_accepted(self, tmp_path):
+        items = [dict(q) for q in API_JSON["items"]]
+        items[0]["answers"] = [
+            {**items[0]["answers"][0], "creation_date": 1528020000}
+        ]
+        path = tmp_path / "same.json"
+        path.write_text(json.dumps({"items": items}))
+        assert load_api_json(path).thread(100).answer_by(21).timestamp == 0.0
+
     @pytest.mark.parametrize("has_more", [True, False])
     def test_truncated_page_rejected(self, tmp_path, has_more):
         """``has_more: true`` marks one page of a longer result."""
