@@ -6,21 +6,22 @@ convention: node pairs with no connecting path are simply removed from
 the sums, so closeness is ``(|U| - 1) / sum(dist to reachable nodes)``
 and betweenness only counts source/target pairs in the same component.
 
-Both measures work on a CSR adjacency, one block of sources at a time —
-the per-refit centrality recompute of the online loop is the hot path
-here.  Closeness takes its distances from scipy's compiled unweighted
-shortest paths; betweenness runs a level-synchronous BFS that expands
-every source of a block simultaneously with vectorized gathers, because
-Brandes' dependency accumulation needs the path counts and levels.
+Both measures run one level-synchronous BFS from a block of sources at
+once over a CSR adjacency — the per-refit centrality recompute of the
+online loop is the hot path here.  Closeness packs 64 sources into each
+bit of a ``uint64`` word per node (MS-BFS, Then et al., VLDB 2015), so a
+level is one gather, one OR per node and a popcount.  Betweenness needs
+Brandes' path counts: its forward pass is one sparse product per level,
+and its dependency accumulation one ``bincount`` per level.
 """
 
 from __future__ import annotations
 
+import itertools
 from collections.abc import Hashable
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import shortest_path
 
 from .graph import UndirectedGraph
 
@@ -29,10 +30,13 @@ __all__ = ["closeness_centrality", "betweenness_centrality"]
 # Sources per BFS block: bounds the dist/sigma working set to
 # _BLOCK x num_nodes while keeping the gathers wide enough to amortize.
 _BLOCK = 256
+# Closeness bit words per node, so its blocks hold _BLOCK sources too.
+_WORDS = _BLOCK // 64
 
 
 def _csr(graph: UndirectedGraph) -> tuple[list, np.ndarray, np.ndarray]:
-    """Nodes in iteration order plus CSR ``(indptr, indices)`` adjacency."""
+    """Nodes in iteration order plus CSR ``(indptr, indices)`` adjacency,
+    each node's neighbors in ascending index order."""
     nodes = list(graph.nodes())
     index = {v: i for i, v in enumerate(nodes)}
     degrees = np.fromiter(
@@ -40,93 +44,85 @@ def _csr(graph: UndirectedGraph) -> tuple[list, np.ndarray, np.ndarray]:
     )
     indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
     np.cumsum(degrees, out=indptr[1:])
-    indices = np.empty(int(indptr[-1]), dtype=np.int64)
-    for i, v in enumerate(nodes):
-        indices[indptr[i] : indptr[i + 1]] = [index[w] for w in graph.neighbors(v)]
-    return nodes, indptr, indices
-
-
-def _expand(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    srcs: np.ndarray,
-    frontier: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """All (source, frontier-node, neighbor) edge triples of one level."""
-    counts = indptr[frontier + 1] - indptr[frontier]
-    total = int(counts.sum())
-    offsets = np.arange(total, dtype=np.int64) - np.repeat(
-        np.cumsum(counts) - counts, counts
+    indices = np.fromiter(
+        (index[w] for v in nodes for w in graph.neighbors(v)),
+        dtype=np.int64,
+        count=int(indptr[-1]),
     )
-    neighbors = indices[np.repeat(indptr[frontier], counts) + offsets]
-    return np.repeat(srcs, counts), np.repeat(frontier, counts), neighbors
-
-
-def _bfs_block(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    sources: np.ndarray,
-    n: int,
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Level-synchronous BFS from a block of sources at once.
-
-    Returns the distance matrix (block x n, -1 unreachable), the
-    shortest-path counts ``sigma`` and the per-level (source, node)
-    frontiers.
-    """
-    b = len(sources)
-    dist = np.full((b, n), -1, dtype=np.int64)
-    sigma = np.zeros((b, n))
-    rows = np.arange(b, dtype=np.int64)
-    dist[rows, sources] = 0
-    sigma[rows, sources] = 1.0
-    levels = [(rows, sources.astype(np.int64))]
-    depth = 0
-    while levels[-1][0].size:
-        depth += 1
-        srcs, via, nbrs = _expand(indptr, indices, *levels[-1])
-        fresh = dist[srcs, nbrs] < 0
-        found = fresh.any()
-        if found:
-            # Dedup (source, node) pairs discovered via several parents:
-            # duplicate writes into the mask are harmless, and nonzero
-            # yields each pair once in row-major order.
-            mask = np.zeros((b, n), dtype=bool)
-            mask[srcs[fresh], nbrs[fresh]] = True
-            new_srcs, new_nodes = np.nonzero(mask)
-            dist[new_srcs, new_nodes] = depth
-        # Path counts flow over every edge that lands on this level,
-        # including edges into nodes discovered at an earlier gather.
-        on_level = dist[srcs, nbrs] == depth
-        np.add.at(
-            sigma,
-            (srcs[on_level], nbrs[on_level]),
-            sigma[srcs[on_level], via[on_level]],
-        )
-        if not found:
-            break
-        levels.append((new_srcs, new_nodes))
-    return dist, sigma, levels
+    base = np.repeat(np.arange(len(nodes), dtype=np.int64) * len(nodes), degrees)
+    return nodes, indptr, np.sort(base + indices) - base
 
 
 def closeness_centrality(graph: UndirectedGraph) -> dict[Hashable, float]:
     """Closeness ``l_u = (|U| - 1) / sum_{v reachable} z_uv`` for every node.
 
-    Isolated nodes (no reachable neighbors) get closeness 0.  Hop
-    distances are small integers held exactly in float64, so every row
-    sum is exact.
+    Isolated nodes (no reachable neighbors) get closeness 0.  Distances
+    are symmetric, so a node's distance total is the sum over BFS levels
+    of the depth times the number of sources that reach it there: an
+    exact integer.
     """
     nodes, indptr, indices = _csr(graph)
     n = len(nodes)
-    adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
-    out: dict[Hashable, float] = {}
-    for start in range(0, n, _BLOCK):
-        sources = np.arange(start, min(start + _BLOCK, n), dtype=np.int64)
-        dist = shortest_path(adjacency, method="D", unweighted=True, indices=sources)
-        totals = np.where(np.isfinite(dist), dist, 0.0).sum(axis=1)
-        for i, total in zip(sources, totals):
-            out[nodes[i]] = (n - 1) / total if total > 0 else 0.0
+    # Isolated nodes reach no one.  Leaving them out makes every other
+    # node's OR over its neighbors one non-empty reduceat segment.
+    linked = np.diff(indptr) > 0
+    neighbors = (np.cumsum(linked) - 1)[indices]
+    starts = indptr[:-1][linked]
+    m = len(starts)
+    totals = np.zeros(m, dtype=np.int64)
+    for start in range(0, m, 64 * _WORDS):
+        k = np.arange(min(64 * _WORDS, m - start))
+        # Word-major bits: row w holds sources 64w..64w+63 of the block.
+        frontier = np.zeros((_WORDS, m), dtype=np.uint64)
+        frontier[k // 64, start + k] = np.uint64(1) << (k % 64).astype(np.uint64)
+        unseen = ~frontier
+        for depth in itertools.count(1):
+            gathered = np.take(frontier, neighbors, axis=1)
+            reached = np.bitwise_or.reduceat(gathered, starts, axis=1)
+            reached &= unseen
+            if not reached.any():
+                break
+            unseen ^= reached
+            totals += depth * np.bitwise_count(reached).sum(axis=0, dtype=np.int64)
+            frontier = reached
+    out = dict.fromkeys(nodes, 0.0)
+    for i, total in zip(np.flatnonzero(linked).tolist(), totals.tolist()):
+        out[nodes[i]] = (n - 1) / total
     return out
+
+
+def _bfs_block(
+    adjacency: csr_matrix, sources: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
+    """Level-synchronous BFS from a block of sources at once.
+
+    Returns the distances (-1 unreachable) and shortest-path counts
+    ``sigma``, both flat over ``source_row * n + node`` keys, and each
+    level's ``(keys, nodes, sigma)``.
+    """
+    b, n = len(sources), adjacency.shape[0]
+    rows = np.arange(b, dtype=np.int64)
+    dist = np.full(b * n, -1, dtype=np.int64)
+    sigma = np.zeros(b * n)
+    keys, counts = rows * n + sources, np.ones(b)
+    dist[keys] = 0
+    sigma[keys] = counts
+    levels = [(keys, sources, counts)]
+    frontier = csr_matrix((counts, sources, np.arange(b + 1)), (b, n))
+    for depth in itertools.count(1):
+        # Row s of the product sums, for each node, the path counts of
+        # its neighbors on the last level; the unseen ones form the next.
+        product = frontier @ adjacency
+        keys = np.repeat(rows * n, np.diff(product.indptr)) + product.indices
+        fresh = dist[keys] < 0
+        if not fresh.any():
+            return dist, sigma, levels
+        keys, nodes, counts = keys[fresh], product.indices[fresh], product.data[fresh]
+        dist[keys] = depth
+        sigma[keys] = counts
+        levels.append((keys, nodes, counts))
+        indptr = np.concatenate(([0], np.cumsum(fresh)))[product.indptr]
+        frontier = csr_matrix((counts, nodes, indptr), (b, n))
 
 
 def betweenness_centrality(
@@ -149,6 +145,7 @@ def betweenness_centrality(
     """
     nodes, indptr, indices = _csr(graph)
     n = len(nodes)
+    adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     scale_sources = 1.0
     if sample_sources is not None and 0 < sample_sources < n:
         rng = np.random.default_rng(seed)
@@ -159,22 +156,26 @@ def betweenness_centrality(
     betweenness = np.zeros(n)
     for start in range(0, len(source_ids), _BLOCK):
         sources = np.asarray(source_ids[start : start + _BLOCK], dtype=np.int64)
-        dist, sigma, levels = _bfs_block(indptr, indices, sources, n)
-        b = len(sources)
-        delta = np.zeros((b, n))
-        # Dependency accumulation, deepest level first; within the BFS
-        # DAG a node's successors all sit exactly one level deeper.
-        for srcs_l, nodes_l in levels[:0:-1]:
-            srcs, w, nbrs = _expand(indptr, indices, srcs_l, nodes_l)
-            pred = dist[srcs, nbrs] == dist[srcs, w] - 1
-            srcs, w, nbrs = srcs[pred], w[pred], nbrs[pred]
-            np.add.at(
-                delta,
-                (srcs, nbrs),
-                sigma[srcs, nbrs] * (1.0 + delta[srcs, w]) / sigma[srcs, w],
-            )
-        delta[np.arange(b), sources] = 0.0  # s's own dependency is not counted
-        betweenness += delta.sum(axis=0)
+        dist, sigma, levels = _bfs_block(adjacency, sources)
+        delta = np.zeros_like(sigma)
+        # Dependency accumulation, deepest level first; a node's
+        # successors sit one level deeper.  Its neighbors come in
+        # ascending order and bincount adds in input order, so each node
+        # sums its successors' shares in ascending successor order.  A
+        # source's own dependency is not counted, so level 0 is skipped.
+        for depth in range(len(levels) - 2, 0, -1):
+            keys, level_nodes, level_sigma = levels[depth]
+            degrees = indptr[level_nodes + 1] - indptr[level_nodes]
+            owner = np.repeat(np.arange(len(keys)), degrees)
+            first = indptr[level_nodes] - (np.cumsum(degrees) - degrees)
+            succ = (keys - level_nodes)[owner] + indices[
+                first[owner] + np.arange(len(owner))
+            ]
+            hit = dist[succ] == depth + 1
+            owner, succ = owner[hit], succ[hit]
+            share = level_sigma[owner] * (1.0 + delta[succ]) / sigma[succ]
+            delta[keys] = np.bincount(owner, share, minlength=len(keys))
+        betweenness += delta.reshape(len(sources), n).sum(axis=0)
     scale = 0.5 * scale_sources
     if normalized and n > 2:
         scale /= (n - 1) * (n - 2) / 2.0
