@@ -52,9 +52,11 @@ def load_posts_xml(
 ) -> ForumDataset:
     """Load a data-dump ``Posts.xml`` into a forum dataset.
 
-    Questions missing an owner, and answers whose parent question was
-    filtered out or missing, are skipped.  Timestamps are rebased to
-    hours after the earliest kept question.
+    Rows with an unparseable id, date or score, and answers whose parent
+    question was filtered out or missing, are skipped.  Timestamps are
+    rebased to hours after the earliest kept question.  An answer dated
+    before its own question raises ``ValueError`` naming both ids;
+    timestamps are never clamped.
     """
     path = Path(path)
     questions: dict[int, dict] = {}
@@ -88,7 +90,7 @@ def load_posts_xml(
     origin = min(q["epoch"] for q in questions.values())
 
     def hours(epoch: float) -> float:
-        return max((epoch - origin) / 3600.0, 0.0)
+        return (epoch - origin) / 3600.0
 
     threads: dict[int, Thread] = {}
     for qid, q in questions.items():
@@ -107,6 +109,10 @@ def load_posts_xml(
         thread = threads.get(a["parent_id"])
         if thread is None:
             continue
+        if a["epoch"] < questions[a["parent_id"]]["epoch"]:
+            raise ValueError(
+                f"answer {a['post_id']} is dated before its question {a['parent_id']}"
+            )
         thread.add_answer(
             Post(
                 post_id=a["post_id"],

@@ -97,6 +97,47 @@ class TestPostsXml:
         ds = load_posts_xml(posts_xml_path, required_tag="golang")
         assert len(ds) == 0
 
+    @pytest.mark.parametrize(
+        "parent, answered",
+        [
+            (1, "2018-06-03T09:59:59.000"),  # before every question: was hour 0
+            (1, "2018-06-03T08:00:00.000"),
+            (3, "2018-06-04T08:00:00.000"),  # after the earliest question only
+        ],
+    )
+    def test_answer_before_its_question_rejected(self, tmp_path, parent, answered):
+        early = (
+            f'  <row Id="6" PostTypeId="2" ParentId="{parent}"'
+            f' CreationDate="{answered}" Score="0" Body="early" OwnerUserId="15" />\n'
+        )
+        path = tmp_path / "Posts.xml"
+        path.write_text(POSTS_XML.replace("</posts>", early + "</posts>"))
+        with pytest.raises(
+            ValueError, match=f"answer 6 is dated before its question {parent}"
+        ):
+            load_posts_xml(path)
+
+    def test_answer_at_question_time_accepted(self, tmp_path):
+        same = (
+            '  <row Id="6" PostTypeId="2" ParentId="1"'
+            ' CreationDate="2018-06-03T10:00:00.000" Score="0" Body="same"'
+            ' OwnerUserId="15" />\n'
+        )
+        path = tmp_path / "Posts.xml"
+        path.write_text(POSTS_XML.replace("</posts>", same + "</posts>"))
+        assert load_posts_xml(path).thread(1).answer_by(15).timestamp == 0.0
+
+    def test_early_answer_to_filtered_question_skipped(self, tmp_path):
+        # Its parent is dropped by the tag filter, so it is never checked.
+        early = (
+            '  <row Id="6" PostTypeId="2" ParentId="3"'
+            ' CreationDate="2018-06-01T00:00:00.000" Score="0" Body="early"'
+            ' OwnerUserId="15" />\n'
+        )
+        path = tmp_path / "Posts.xml"
+        path.write_text(POSTS_XML.replace("</posts>", early + "</posts>"))
+        assert len(load_posts_xml(path, required_tag="python")) == 1
+
 
 class TestApiJson:
     @pytest.fixture
