@@ -1,25 +1,19 @@
-"""Training engine: fused vectorized fits vs. the reference loops.
+"""Training time: the predictor's post-featurization fit.
 
-Fits the full predictor twice over the benchmark forum:
+Fits the full predictor ``N_TRIALS`` times over the benchmark forum with
+flat-parameter buffered backprop, in-place Adam and the active-set
+batched LDA E-step, and times it best of ``N_TRIALS``.  Every trial must
+train bit-identical weights: the fit is deterministic under its seed.
 
-* ``reference`` — the pre-engine behaviour: per-layer optimizer steps
-  with allocating minibatch slices, serial task-model fits, and the
-  legacy LDA E-step with a corpus-wide convergence check;
-* ``fused`` — flat-parameter buffered backprop with in-place Adam
-  and the active-set batched LDA E-step with per-document convergence.
-
-Both arms fit their three task models with the same ``N_JOBS`` and are
-timed best of ``N_TRIALS``, alternating arms.
-
-Compared on post-featurization training time (topic fit + model fits —
-featurization is shared and benchmarked separately), with the per-stage
-breakdown and a Table-1 metric-parity check recorded in
-``BENCH_training.json`` at the repo root.
+Training time is post-featurization (topic fit + model fits —
+featurization is benchmarked separately).  The per-stage breakdown and
+the Table-1 means at this scale are recorded in ``BENCH_training.json``
+at the repo root.
 """
 
-from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 from _meta import write_bench
 from conftest import FORUM_CONFIG, N_FOLDS, N_REPEATS, PREDICTOR_CONFIG
 
@@ -38,10 +32,9 @@ _STAGES = (
 )
 
 
-def run_fit(dataset, engine: str, n_jobs: int):
+def run_fit(dataset, n_jobs: int):
     """One full predictor fit in a private perf registry."""
-    config = replace(PREDICTOR_CONFIG, training_engine=engine)
-    predictor = ForumPredictor(config)
+    predictor = ForumPredictor(PREDICTOR_CONFIG)
     with perf.use_registry() as registry:
         predictor.fit(dataset, n_jobs=n_jobs)
     stages = {
@@ -49,91 +42,74 @@ def run_fit(dataset, engine: str, n_jobs: int):
         for name in _STAGES
     }
     # Training cost excludes featurization: the batched feature engine
-    # is shared by both arms and has its own benchmark.
+    # has its own benchmark.
     stages["train_seconds"] = round(
         stages["pipeline.fit_topics"] + stages["pipeline.fit_models"], 6
     )
     return predictor, stages
 
 
-# Both arms dispatch their task-model fits alike, so the ratio measures
-# the engines alone.  Serial: the parallel dispatch is
-# determinism-tested in tests/core/test_parallel_fits.py, and three
-# worker processes on a 2-CPU host only add spawn overhead and noise.
+def learned_arrays(predictor) -> list[np.ndarray]:
+    """Every array a fit learns: topics, answer head, vote/timing nets."""
+    process = predictor.timing_model.process
+    nets = [predictor.vote_model.network, process.excitation_net]
+    if process.decay_net is not None:
+        nets.append(process.decay_net)
+    return [
+        predictor.topics.model.to_state()[1],
+        predictor.answer_model.classifier.coef_,
+        *(net.flat_parameters() for net in nets),
+    ]
+
+
+# Serial: the parallel dispatch is determinism-tested in
+# tests/core/test_parallel_fits.py, and three worker processes on a
+# 2-CPU host only add spawn overhead and noise.
 N_JOBS = 1
 N_TRIALS = 3
 
 
-def test_training_engine_speedup(benchmark, dataset, extractor, pairs):
-    # Interleaved best-of-N per arm: alternating ref/fused runs means a
-    # burst of background load on the shared host inflates both arms
-    # rather than silently penalising whichever one it landed on.
-    ref_runs, fused_runs = [], []
-    for _ in range(N_TRIALS):
-        ref_runs.append(run_fit(dataset, "reference", n_jobs=N_JOBS))
-        fused_runs.append(run_fit(dataset, "fused", n_jobs=N_JOBS))
-    _, ref = min(ref_runs, key=lambda r: r[1]["train_seconds"])
-    fused_predictor, fused = min(
-        fused_runs, key=lambda r: r[1]["train_seconds"]
-    )
+def test_training_time(benchmark, dataset, extractor, pairs):
+    runs = [run_fit(dataset, n_jobs=N_JOBS) for _ in range(N_TRIALS)]
+    first = learned_arrays(runs[0][0])
+    for predictor, _ in runs[1:]:
+        for expected, got in zip(first, learned_arrays(predictor)):
+            np.testing.assert_array_equal(got, expected)
+    _, best = min(runs, key=lambda r: r[1]["train_seconds"])
     benchmark.pedantic(
-        lambda: run_fit(dataset, "fused", n_jobs=N_JOBS),
-        rounds=1,
-        iterations=1,
+        lambda: run_fit(dataset, n_jobs=N_JOBS), rounds=1, iterations=1
     )
-    speedup = ref["train_seconds"] / fused["train_seconds"]
 
-    # Metric parity: the engine is an optimisation, not a model change.
-    # The fused minibatch path is arithmetically identical to the
-    # reference loops, so Table-1 metrics must agree well within the CV
-    # fold spread (the LDA engines differ only in stopping decisions).
-    table_kwargs = dict(
+    table = run_table1(
+        dataset,
+        config=PREDICTOR_CONFIG,
         n_folds=N_FOLDS,
         n_repeats=N_REPEATS,
         extractor=extractor,
         pairs=pairs,
     )
-    ref_table = run_table1(
-        dataset,
-        config=replace(PREDICTOR_CONFIG, training_engine="reference"),
-        **table_kwargs,
-    )
-    fused_table = run_table1(
-        dataset,
-        config=replace(PREDICTOR_CONFIG, training_engine="fused"),
-        **table_kwargs,
-    )
-    parity = {}
-    for task in ("answer", "votes", "timing"):
-        r = getattr(ref_table, task).model
-        f = getattr(fused_table, task).model
-        parity[task] = {
-            "reference_mean": round(r.mean, 6),
-            "fused_mean": round(f.mean, 6),
-            "reference_std": round(r.std, 6),
+    table1 = {
+        task: {
+            "mean": round(getattr(table, task).model.mean, 6),
+            "std": round(getattr(table, task).model.std, 6),
         }
-        assert abs(f.mean - r.mean) <= max(r.std, 1e-9)
+        for task in ("answer", "votes", "timing")
+    }
 
     record = {
         "forum": {
             "n_users": FORUM_CONFIG.n_users,
             "n_questions": FORUM_CONFIG.n_questions,
         },
-        "reference_stages": ref,
-        "fused_stages": fused,
+        "stages": best,
         "n_jobs": N_JOBS,
         "n_trials": N_TRIALS,
-        "train_speedup": round(speedup, 2),
-        "table1_parity": parity,
+        "table1": table1,
     }
     write_bench(RESULT_PATH, record)
-    print("\nTraining engine")
-    for arm, stages in (("reference", ref), ("fused", fused)):
-        print(
-            f"  {arm:9s} train {stages['train_seconds']:.2f}s "
-            f"(topics {stages['pipeline.fit_topics']:.2f}s, "
-            f"models {stages['pipeline.fit_models']:.2f}s)"
-        )
-    print(f"  speedup: {speedup:.1f}x -> {RESULT_PATH.name}")
-    assert fused_predictor.vote_model is not None
-    assert speedup >= 3.0
+    print(
+        f"\nTraining: {best['train_seconds']:.2f}s "
+        f"(topics {best['pipeline.fit_topics']:.2f}s, "
+        f"models {best['pipeline.fit_models']:.2f}s), "
+        f"{N_TRIALS} bit-identical fits -> {RESULT_PATH.name}"
+    )

@@ -311,7 +311,6 @@ def _evaluate_votes_fold(
         hidden=config.vote_hidden,
         epochs=config.vote_epochs,
         seed=config.seed,
-        fused=config.training_engine == "fused",
     )
     model.fit(pairs.x[train_pos], pairs.votes[train_pos])
     model_rmse = rmse(pairs.votes[test_pos], model.predict(pairs.x[test_pos]))
@@ -341,7 +340,6 @@ def _evaluate_timing_fold(
         omega=config.omega,
         epochs=config.timing_epochs,
         seed=config.seed,
-        fused=config.training_engine == "fused",
     )
     model.fit(
         pairs.x[train],
@@ -483,7 +481,6 @@ def _cv_fold_task(
                 hidden=config.vote_hidden,
                 epochs=config.vote_epochs,
                 seed=config.seed,
-                fused=config.training_engine == "fused",
             )
             vote.fit(pairs.x[train_pos], pairs.votes[train_pos])
             out["votes"] = rmse(
@@ -498,7 +495,6 @@ def _cv_fold_task(
                 omega=config.omega,
                 epochs=config.timing_epochs,
                 seed=config.seed,
-                fused=config.training_engine == "fused",
             )
             timing.fit(
                 pairs.x[train],

@@ -93,9 +93,12 @@ def _mlp_from_arrays(prefix: str, meta: dict, arrays) -> MLP:
         output_activation=output_act,
         l2=meta[prefix]["l2"],
     )
+    # Copy into the layers' arrays, which are views of the network's flat
+    # parameter vector: rebinding them would leave the optimizer stepping
+    # a detached vector on the next (warm) fit.
     for i, layer in enumerate(net.layers):
-        layer.weight = arrays[f"{prefix}_w{i}"]
-        layer.bias = arrays[f"{prefix}_b{i}"]
+        layer.weight[...] = arrays[f"{prefix}_w{i}"]
+        layer.bias[...] = arrays[f"{prefix}_b{i}"]
     return net
 
 
@@ -360,6 +363,14 @@ def load_predictor(
         raise ValueError(f"unsupported predictor format version {meta['version']}")
     _check_window(meta, feature_window)
     config_dict = dict(meta["config"])
+    # Archives from before the single training engine record it; only the
+    # engine that is left ("fused") trained what today's code trains.
+    engine = config_dict.pop("training_engine", "fused")
+    if engine != "fused":
+        raise ValueError(
+            f"training_engine {engine!r} archives are no longer supported; "
+            "refit the predictor"
+        )
     for key in ("vote_hidden", "excitation_hidden"):
         config_dict[key] = tuple(config_dict[key])
     config = PredictorConfig(**config_dict)
@@ -386,7 +397,12 @@ def load_predictor(
     # Vote model.
     from .vote_model import VoteModel
 
-    vote = VoteModel(arrays["vote_net_w0"].shape[0], hidden=config.vote_hidden)
+    vote = VoteModel(
+        arrays["vote_net_w0"].shape[0],
+        hidden=config.vote_hidden,
+        epochs=config.vote_epochs,
+        seed=config.seed,
+    )
     vote.scaler = _scaler_from_arrays("vote_scaler", meta, arrays)
     vote.network = _mlp_from_arrays("vote_net", meta, arrays)
     vote._fitted = True
@@ -401,6 +417,8 @@ def load_predictor(
         decay=config.decay,
         omega=float(meta["omega"]),
         predictor=meta["timing_predictor"],
+        epochs=config.timing_epochs,
+        seed=config.seed,
     )
     timing.scaler = _scaler_from_arrays("timing_scaler", meta, arrays)
     timing.process.excitation_net = _mlp_from_arrays(

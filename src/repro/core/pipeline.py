@@ -69,10 +69,6 @@ class PredictorConfig:
     negative_ratio: float = 1.0  # negatives per positive for task (i)
     betweenness_sample_size: int | None = None
     seed: int = 0
-    # "fused" trains through the vectorized engine (buffered backprop,
-    # in-place optimizer steps, active-set LDA E-step); "reference"
-    # keeps the original per-layer/per-corpus loops for benchmarking.
-    training_engine: str = "fused"
 
     def __post_init__(self):
         if self.n_topics < 1:
@@ -81,10 +77,6 @@ class PredictorConfig:
             raise ValueError("negative_ratio must be positive")
         if self.warm_epochs < 1:
             raise ValueError("warm_epochs must be >= 1")
-        if self.training_engine not in ("fused", "reference"):
-            raise ValueError(
-                "training_engine must be 'fused' or 'reference'"
-            )
 
 
 @dataclass(frozen=True)
@@ -113,13 +105,6 @@ class ForumPredictor:
     def fit_topics(self, window: ForumDataset) -> TopicModelContext:
         """Stage 1: fit the topic model over the feature window."""
         cfg = self.config
-        lda_kwargs = {}
-        if cfg.lda_method == "variational":
-            # The reference engine keeps the legacy corpus-wide E-step
-            # convergence check; fused uses the active-set batch.
-            lda_kwargs["e_step"] = (
-                "batched" if cfg.training_engine == "fused" else "global"
-            )
         with perf.timer("pipeline.fit_topics"):
             self.topics = TopicModelContext.fit(
                 window,
@@ -127,7 +112,6 @@ class ForumPredictor:
                 method=cfg.lda_method,
                 min_count=cfg.lda_min_count,
                 seed=cfg.seed,
-                **lda_kwargs,
             )
         return self.topics
 
@@ -192,7 +176,6 @@ class ForumPredictor:
         x_pos = x_all[: len(pos_pairs)]
         is_event = np.r_[np.ones(len(pos_pairs)), np.zeros(len(neg_pairs))]
 
-        fused = cfg.training_engine == "fused"
         # Warm networks resume from trained weights, so a short
         # fine-tuning budget replaces the full epoch schedule.
         vote_warm = warm_start and self.vote_model is not None
@@ -202,7 +185,6 @@ class ForumPredictor:
                 hidden=cfg.vote_hidden,
                 epochs=cfg.vote_epochs,
                 seed=cfg.seed,
-                fused=fused,
             )
         timing_warm = warm_start and self.timing_model is not None
         if not timing_warm:
@@ -213,7 +195,6 @@ class ForumPredictor:
                 omega=cfg.omega,
                 epochs=cfg.timing_epochs,
                 seed=cfg.seed,
-                fused=fused,
             )
         times_all = np.r_[times, np.zeros(len(neg_pairs))]
         horizons_all = self._horizons([t for _, t in all_pairs])

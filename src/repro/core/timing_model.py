@@ -45,7 +45,6 @@ class TimingModel:
         validation_fraction: float = 0.15,
         patience: int = 25,
         seed: int = 0,
-        fused: bool = True,
     ):
         if predictor not in ("conditional", "expected"):
             raise ValueError("predictor must be 'conditional' or 'expected'")
@@ -60,7 +59,6 @@ class TimingModel:
             seed=seed,
         )
         self.optimizer = Adam(learning_rate=learning_rate)
-        self.fused = fused
         self.predictor = predictor
         self.learning_rate = learning_rate
         self.epochs = epochs
@@ -108,7 +106,6 @@ class TimingModel:
             np.asarray(horizons, dtype=float),
             np.asarray(is_event, dtype=float),
             optimizer=self.optimizer,
-            fused=self.fused,
             epochs=self.epochs if epochs is None else epochs,
             batch_size=self.batch_size,
             validation_fraction=self.validation_fraction,

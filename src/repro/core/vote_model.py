@@ -32,7 +32,6 @@ class VoteModel:
         validation_fraction: float = 0.15,
         patience: int = 25,
         seed: int = 0,
-        fused: bool = True,
     ):
         if n_features < 1:
             raise ValueError("n_features must be >= 1")
@@ -45,7 +44,6 @@ class VoteModel:
             l2=l2,
         )
         self.optimizer = Adam(learning_rate=learning_rate)
-        self.fused = fused
         self.learning_rate = learning_rate
         self.epochs = epochs
         self.batch_size = batch_size
@@ -76,7 +74,6 @@ class VoteModel:
             np.asarray(votes, dtype=float),
             loss="mse",
             optimizer=self.optimizer,
-            fused=self.fused,
             epochs=self.epochs if epochs is None else epochs,
             batch_size=self.batch_size,
             validation_fraction=self.validation_fraction,

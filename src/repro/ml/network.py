@@ -7,16 +7,15 @@ with custom likelihoods (the point process of Sec. II-A.3) can inject
 their own output gradients, plus a convenience ``fit`` for standard
 regression losses.
 
-The training engine is fused: every parameter and gradient lives in one
-flat vector (layer arrays are views into it), layers keep per-batch-size
-activation/gradient buffers that forward/backward write into with
-``out=`` ufuncs, and minibatches are gathered with ``np.take`` into
-preallocated arrays.  One optimizer step therefore touches two arrays
-instead of ``2 * n_layers``, and a training step allocates almost
-nothing.  ``fit(..., fused=False)`` keeps the original allocate-per-step
-loop as a reference/baseline; both paths consume randomness identically
-and produce the same parameter trajectory up to floating-point
-reassociation inside the optimizer.
+Training keeps every parameter and gradient in one flat vector (layer
+arrays are views into it), layers keep per-batch-size activation/gradient
+buffers that forward/backward write into with ``out=`` ufuncs, and
+minibatches are gathered with ``np.take`` into preallocated arrays.  One
+optimizer step therefore touches two arrays instead of ``2 * n_layers``,
+and a training step allocates almost nothing.  ``forward``/``backward``
+also run unbuffered (``buffered=False``, the default) for passes outside
+a training loop, such as a one-off likelihood; that path allocates fresh
+arrays and computes the same values.
 
 Inference has its own stateless forward, ``MLP.infer`` (one
 ``Dense.infer`` per layer), which every prediction entry point uses.
@@ -98,7 +97,6 @@ class Dense:
         *,
         rng: np.random.Generator,
         initializer: str | None = None,
-        dtype: np.dtype | type = np.float64,
     ):
         if in_dim <= 0 or out_dim <= 0:
             raise ValueError("layer dimensions must be positive")
@@ -108,9 +106,8 @@ class Dense:
                 "he_normal" if self.activation.name == "relu" else "glorot_uniform"
             )
         init = get_initializer(initializer)
-        self.dtype = np.dtype(dtype)
-        self.weight = init(in_dim, out_dim, rng).astype(self.dtype, copy=False)
-        self.bias = np.zeros(out_dim, dtype=self.dtype)
+        self.weight = init(in_dim, out_dim, rng)
+        self.bias = np.zeros(out_dim)
         self.grad_weight = np.zeros_like(self.weight)
         self.grad_bias = np.zeros_like(self.bias)
         self._input: np.ndarray | None = None
@@ -131,15 +128,15 @@ class Dense:
         bufs = self._bufs.get(rows)
         if bufs is None:
             bufs = (
-                np.empty((rows, self.out_dim), dtype=self.dtype),
-                np.empty((rows, self.out_dim), dtype=self.dtype),
-                np.empty((rows, self.in_dim), dtype=self.dtype),
+                np.empty((rows, self.out_dim)),
+                np.empty((rows, self.out_dim)),
+                np.empty((rows, self.in_dim)),
             )
             self._bufs[rows] = bufs
         return bufs
 
     def forward(self, x: np.ndarray, *, buffered: bool = False) -> np.ndarray:
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=float)
         self._input = x
         if buffered:
             z, out, _ = self._buffers(x.shape[0])
@@ -201,7 +198,7 @@ class FitResult:
     loss_history: list[float] = field(default_factory=list)
     validation_history: list[float] = field(default_factory=list)
     best_epoch: int | None = None
-    stopped_early: str | None = None  # "validation" / "train_plateau" / None
+    stopped_early: str | None = None  # "validation" / None
 
     @property
     def final_loss(self) -> float:
@@ -222,10 +219,6 @@ class MLP:
         Activation on the final layer (paper Eq. (1) applies sigma at the
         output too; the point-process excitation uses ReLU there, and we
         default to identity for plain regression).
-    dtype:
-        Compute precision.  float64 (default) matches the reference
-        numerics; float32 halves memory traffic for throughput-bound
-        fits at the cost of ~1e-6 relative parameter drift.
     """
 
     def __init__(
@@ -236,7 +229,6 @@ class MLP:
         output_activation: str | Activation = "identity",
         seed: int | np.random.Generator = 0,
         l2: float = 0.0,
-        dtype: np.dtype | type = np.float64,
     ):
         if len(layer_sizes) < 2:
             raise ValueError("layer_sizes needs at least input and output dims")
@@ -248,21 +240,12 @@ class MLP:
             else np.random.default_rng(seed)
         )
         self.l2 = l2
-        self.dtype = np.dtype(dtype)
-        if self.dtype.kind != "f":
-            raise ValueError("dtype must be a floating-point type")
         self.layers: list[Dense] = []
         for i in range(len(layer_sizes) - 1):
             is_last = i == len(layer_sizes) - 2
             act = output_activation if is_last else hidden_activation
             self.layers.append(
-                Dense(
-                    layer_sizes[i],
-                    layer_sizes[i + 1],
-                    act,
-                    rng=rng,
-                    dtype=self.dtype,
-                )
+                Dense(layer_sizes[i], layer_sizes[i + 1], act, rng=rng)
             )
         self._flat_params: np.ndarray | None = None
         self._flat_grads: np.ndarray | None = None
@@ -272,13 +255,13 @@ class MLP:
         """Re-home every layer's weight/bias (and gradients) as views into
         one flat parameter vector and one flat gradient vector.
 
-        The fused optimizer step then updates two arrays regardless of
+        The optimizer step then updates two arrays regardless of
         depth, and ``backward`` writes gradients straight into the flat
         vector through the per-layer views.
         """
         total = sum(l.weight.size + l.bias.size for l in self.layers)
-        flat_p = np.empty(total, dtype=self.dtype)
-        flat_g = np.zeros(total, dtype=self.dtype)
+        flat_p = np.empty(total)
+        flat_g = np.zeros(total)
         offset = 0
         for layer in self.layers:
             for name, gname in (("weight", "grad_weight"), ("bias", "grad_bias")):
@@ -303,7 +286,7 @@ class MLP:
         return self.layers[-1].out_dim
 
     def forward(self, x: np.ndarray, *, buffered: bool = False) -> np.ndarray:
-        out = np.asarray(x, dtype=self.dtype)
+        out = np.asarray(x, dtype=float)
         if out.ndim != 2:
             raise ValueError("MLP input must be 2-D (batch, features)")
         for layer in self.layers:
@@ -317,7 +300,7 @@ class MLP:
 
         Layer gradients are stored on each layer and include the L2 term.
         """
-        grad = np.asarray(grad_out, dtype=self.dtype)
+        grad = np.asarray(grad_out, dtype=float)
         for layer in reversed(self.layers):
             grad = layer.backward(grad, buffered=buffered)
         if self.l2 > 0.0:
@@ -363,7 +346,7 @@ class MLP:
         tile stack (``Dense.infer``); touches none of the training
         buffers or caches.
         """
-        x = np.asarray(x, dtype=self.dtype)
+        x = np.asarray(x, dtype=float)
         if x.ndim != 2:
             raise ValueError("MLP input must be 2-D (batch, features)")
         out = _tiles(x)
@@ -373,7 +356,7 @@ class MLP:
 
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Inference forward; squeezes a single-output network to (batch,)."""
-        out = self.infer(np.atleast_2d(np.asarray(x, dtype=self.dtype)))
+        out = self.infer(np.atleast_2d(np.asarray(x, dtype=float)))
         return out[:, 0] if out.shape[1] == 1 else out
 
     def fit(
@@ -388,24 +371,15 @@ class MLP:
         seed: int = 0,
         validation_fraction: float = 0.0,
         patience: int = 20,
-        train_tol: float = 0.0,
-        fused: bool = True,
-        verbose: bool = False,
     ) -> FitResult:
         """Train with minibatch gradient descent on a standard loss.
 
         With ``validation_fraction > 0`` a held-out slice is tracked
         each epoch; training stops after ``patience`` epochs without
-        improvement and the best-epoch weights are restored.  With
-        ``train_tol > 0`` (and no validation split) training also stops
-        once the epoch training loss has not improved by at least
-        ``train_tol`` for ``patience`` epochs — converged fits stop
-        burning their remaining epoch budget.  ``fused=False`` selects
-        the reference allocate-per-step loop (same batches, same
-        randomness).
+        improvement and the best-epoch weights are restored.
         """
-        x = np.asarray(x, dtype=self.dtype)
-        y = np.asarray(y, dtype=self.dtype)
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
         if y.ndim == 1:
             y = y[:, None]
         if x.shape[0] != y.shape[0]:
@@ -414,8 +388,6 @@ class MLP:
             raise ValueError("cannot fit on an empty dataset")
         if not 0.0 <= validation_fraction < 1.0:
             raise ValueError("validation_fraction must be in [0, 1)")
-        if train_tol < 0.0:
-            raise ValueError("train_tol must be non-negative")
         loss_fn = get_loss(loss)
         opt = get_optimizer(optimizer)
         rng = np.random.default_rng(seed)
@@ -432,46 +404,33 @@ class MLP:
         result = FitResult()
         best_val = np.inf
         best_params: np.ndarray | None = None
-        best_train = np.inf
         stale = 0
-        train_stale = 0
         bs = min(batch_size, n)
-        if fused:
-            step_params = [self._flat_params]
-            step_grads = [self._flat_grads]
-            rem = n % bs
-            xb = np.empty((bs, x.shape[1]), dtype=self.dtype)
-            yb = np.empty((bs, y.shape[1]), dtype=self.dtype)
-            xr = np.empty((rem, x.shape[1]), dtype=self.dtype) if rem else None
-            yr = np.empty((rem, y.shape[1]), dtype=self.dtype) if rem else None
-        else:
-            step_params = self.parameters()
+        step_params = [self._flat_params]
+        step_grads = [self._flat_grads]
+        # Minibatches gather into fixed buffers: one full-size pair and,
+        # when n is not a multiple of bs, one for the short last batch.
+        rem = n % bs
+        xb = np.empty((bs, x.shape[1]))
+        yb = np.empty((bs, y.shape[1]))
+        xr = np.empty((rem, x.shape[1])) if rem else None
+        yr = np.empty((rem, y.shape[1])) if rem else None
         for epoch in range(epochs):
             order = rng.permutation(n)
             epoch_loss = 0.0
             for start in range(0, n, bs):
                 idx = order[start : start + bs]
-                if fused:
-                    bx, by = (xb, yb) if idx.size == bs else (xr, yr)
-                    np.take(x, idx, axis=0, out=bx)
-                    np.take(y, idx, axis=0, out=by)
-                    pred = self.forward(bx, buffered=True)
-                    batch_loss = loss_fn.value(pred, by)
-                    self.backward(loss_fn.gradient(pred, by), buffered=True)
-                    opt.step(step_params, step_grads)
-                else:
-                    bx, by = x[idx], y[idx]
-                    pred = self.forward(bx)
-                    batch_loss = loss_fn.value(pred, by)
-                    self.backward(loss_fn.gradient(pred, by))
-                    opt.step(step_params, self.gradients())
+                bx, by = (xb, yb) if idx.size == bs else (xr, yr)
+                np.take(x, idx, axis=0, out=bx)
+                np.take(y, idx, axis=0, out=by)
+                pred = self.forward(bx, buffered=True)
+                batch_loss = loss_fn.value(pred, by)
+                self.backward(loss_fn.gradient(pred, by), buffered=True)
+                opt.step(step_params, step_grads)
                 epoch_loss += batch_loss * idx.size
-            train_loss = epoch_loss / n
-            result.loss_history.append(train_loss)
+            result.loss_history.append(epoch_loss / n)
             if x_val is not None:
-                val_loss = loss_fn.value(
-                    self.forward(x_val, buffered=fused), y_val
-                )
+                val_loss = loss_fn.value(self.forward(x_val, buffered=True), y_val)
                 result.validation_history.append(val_loss)
                 if val_loss < best_val - 1e-12:
                     best_val = val_loss
@@ -483,17 +442,6 @@ class MLP:
                     if stale >= patience:
                         result.stopped_early = "validation"
                         break
-            elif train_tol > 0.0:
-                if train_loss < best_train - train_tol:
-                    best_train = train_loss
-                    train_stale = 0
-                else:
-                    train_stale += 1
-                    if train_stale >= patience:
-                        result.stopped_early = "train_plateau"
-                        break
-            if verbose and (epoch % max(1, epochs // 10) == 0):
-                print(f"epoch {epoch}: loss={result.loss_history[-1]:.6f}")
         if best_params is not None:
             self._flat_params[...] = best_params
         return result

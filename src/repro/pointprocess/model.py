@@ -174,7 +174,6 @@ class ExcitationPointProcess:
         validation_fraction: float = 0.0,
         patience: int = 20,
         seed: int = 0,
-        fused: bool = True,
     ) -> PointProcessFitResult:
         """Maximize the likelihood over a set of (user, question) pairs.
 
@@ -224,69 +223,52 @@ class ExcitationPointProcess:
             x, times = x[train_idx], times[train_idx]
             horizons, is_event = horizons[train_idx], is_event[train_idx]
             n = x.shape[0]
-        if fused:
-            # One flat parameter/gradient vector per network: the Adam
-            # update touches 2 (or 4) arrays per step instead of one pair
-            # per layer, and minibatches gather into fixed buffers.
-            params = [self.excitation_net.flat_parameters()]
-            grads = [self.excitation_net.flat_gradients()]
-            if self.decay_net is not None:
-                params.append(self.decay_net.flat_parameters())
-                grads.append(self.decay_net.flat_gradients())
-        else:
-            params = self.excitation_net.parameters()
-            if self.decay_net is not None:
-                params = params + self.decay_net.parameters()
+        # One flat parameter/gradient vector per network: the Adam
+        # update touches 2 (or 4) arrays per step instead of one pair
+        # per layer, and minibatches gather into fixed buffers.
+        params = [self.excitation_net.flat_parameters()]
+        grads = [self.excitation_net.flat_gradients()]
+        if self.decay_net is not None:
+            params.append(self.decay_net.flat_parameters())
+            grads.append(self.decay_net.flat_gradients())
         result = PointProcessFitResult()
         best_val = np.inf
         best_params: list[np.ndarray] | None = None
         stale = 0
         bs = min(batch_size, n)
-        if fused:
-            rem = n % bs
-            bufs = {
-                bs: tuple(np.empty(bs) for _ in range(3))
-                + (np.empty((bs, x.shape[1])),)
-            }
-            if rem:
-                bufs[rem] = tuple(np.empty(rem) for _ in range(3)) + (
-                    np.empty((rem, x.shape[1])),
-                )
+        # (times, horizons, is_event, x) buffers for the full batch size
+        # and for the short last batch when n is not a multiple of bs.
+        bufs = {
+            rows: (
+                np.empty(rows),
+                np.empty(rows),
+                np.empty(rows),
+                np.empty((rows, x.shape[1])),
+            )
+            for rows in {bs, n % bs} - {0}
+        }
         for _ in range(epochs):
             order = rng.permutation(n)
             epoch_nll = 0.0
             for start in range(0, n, bs):
                 idx = order[start : start + bs]
-                if fused:
-                    tb, hb, eb, xb = bufs[idx.size]
-                    np.take(x, idx, axis=0, out=xb)
-                    np.take(times, idx, out=tb)
-                    np.take(horizons, idx, out=hb)
-                    np.take(is_event, idx, out=eb)
-                    nll, grad_mu, grad_omega = self._batch_nll_and_grads(
-                        xb, tb, hb, eb, buffered=True
-                    )
-                    self.excitation_net.backward(grad_mu[:, None], buffered=True)
-                    if self.decay_net is not None:
-                        self.decay_net.backward(
-                            grad_omega[:, None], buffered=True
-                        )
-                    opt.step(params, grads)
-                else:
-                    nll, grad_mu, grad_omega = self._batch_nll_and_grads(
-                        x[idx], times[idx], horizons[idx], is_event[idx]
-                    )
-                    self.excitation_net.backward(grad_mu[:, None])
-                    step_grads = self.excitation_net.gradients()
-                    if self.decay_net is not None:
-                        self.decay_net.backward(grad_omega[:, None])
-                        step_grads = step_grads + self.decay_net.gradients()
-                    opt.step(params, step_grads)
+                tb, hb, eb, xb = bufs[idx.size]
+                np.take(x, idx, axis=0, out=xb)
+                np.take(times, idx, out=tb)
+                np.take(horizons, idx, out=hb)
+                np.take(is_event, idx, out=eb)
+                nll, grad_mu, grad_omega = self._batch_nll_and_grads(
+                    xb, tb, hb, eb, buffered=True
+                )
+                self.excitation_net.backward(grad_mu[:, None], buffered=True)
+                if self.decay_net is not None:
+                    self.decay_net.backward(grad_omega[:, None], buffered=True)
+                opt.step(params, grads)
                 epoch_nll += nll * len(idx)
             result.nll_history.append(epoch_nll / n)
             if val_idx is not None:
                 val_nll, _, _ = self._batch_nll_and_grads(
-                    x_val, t_val, h_val, e_val, buffered=fused
+                    x_val, t_val, h_val, e_val, buffered=True
                 )
                 result.validation_history.append(val_nll)
                 if val_nll < best_val - 1e-12:

@@ -217,25 +217,16 @@ class LdaVariational(_LdaBase):
     The E-step updates the variational Dirichlet ``gamma`` with the
     standard per-document fixed-point iteration; the M-step re-estimates
     the topic-word variational parameter ``lambda`` from expected
-    counts.  Three E-step engines share the math:
+    counts.  All documents iterate simultaneously over the flat cell
+    table, with a *per-document* convergence check: documents whose mean
+    ``gamma`` change drops below ``tol`` leave the active set, so the
+    corpus pass shrinks as documents converge (most converge in a
+    fraction of ``inner_iter``).  Per document the arithmetic is the
+    textbook document-by-document loop's, operation for operation; the
+    tests hold the two to bit equality (``tests/topics/lda_oracle.py``).
 
-    * ``"batched"`` (default) — all documents iterate simultaneously
-      over the flat cell table, with a *per-document* convergence check:
-      documents whose mean ``gamma`` change drops below ``tol`` leave
-      the active set, so the corpus pass shrinks as documents converge
-      (most converge in a fraction of ``inner_iter``).
-    * ``"perdoc"`` — the textbook document-by-document Python loop.
-      Arithmetically identical to ``"batched"`` (same operations in the
-      same order per document), kept as the reference the batched engine
-      is tested against.
-    * ``"global"`` — the previous batched variant with a corpus-wide
-      mean-change check; every document runs until the *corpus* mean
-      converges, which in practice means the full ``inner_iter`` budget.
-      Kept as the pre-optimization baseline for benchmarking.
-
-    Held-out inference is batch-invariant under every engine:
-    ``transform(docs)[i]`` equals ``transform([docs[i]])[0]`` bit for
-    bit.
+    Held-out inference is batch-invariant: ``transform(docs)[i]`` equals
+    ``transform([docs[i]])[0]`` bit for bit.
     """
 
     def __init__(
@@ -248,18 +239,14 @@ class LdaVariational(_LdaBase):
         n_iter: int = 30,
         inner_iter: int = 40,
         tol: float = 1e-4,
-        e_step: str = "batched",
         seed: int = 0,
     ):
         super().__init__(n_topics, vocab_size, alpha, beta)
         if n_iter < 1 or inner_iter < 1:
             raise ValueError("iteration counts must be >= 1")
-        if e_step not in ("batched", "perdoc", "global"):
-            raise ValueError("e_step must be 'batched', 'perdoc' or 'global'")
         self.n_iter = n_iter
         self.inner_iter = inner_iter
         self.tol = tol
-        self.e_step = e_step
         self.seed = seed
 
     def _corpus(self, docs: list[np.ndarray]) -> _Corpus | None:
@@ -316,7 +303,7 @@ class LdaVariational(_LdaBase):
         self._exp_elog_beta = _exp_elog(lam)
         self.topic_word_ = lam / lam.sum(axis=1, keepdims=True)
 
-    def _gamma_batched(
+    def _fixed_point(
         self,
         corpus: _Corpus,
         exp_elog_beta: np.ndarray,
@@ -332,10 +319,9 @@ class LdaVariational(_LdaBase):
         until a pass moves it by less than ``tol`` in mean or it has
         run ``passes`` passes.  Finished rows are frozen and every
         per-cell array is compacted to the survivors, so late sweeps
-        touch only the stragglers.  Per-document arithmetic is
-        identical to :meth:`_gamma_perdoc` (same operations, same
-        order) and does not depend on which other documents share the
-        batch.
+        touch only the stragglers.  Per-document arithmetic is the
+        textbook per-document loop's (same operations, same order) and
+        does not depend on which other documents share the batch.
         """
         k = self.n_topics
         tol = self.tol
@@ -354,8 +340,8 @@ class LdaVariational(_LdaBase):
         passes_done = np.zeros(act_docs.size, dtype=np.int64)
         # Sweep buffers, rebuilt only when the active set is compacted;
         # every in-place op below is value-identical to the allocating
-        # expression in _gamma_perdoc (multiplication/addition operand
-        # order does not change IEEE results).
+        # expression of the per-document loop (multiplication/addition
+        # operand order does not change IEEE results).
         elog = np.empty_like(gamma_act)
         gamma_new = np.empty_like(gamma_act)
         diff = np.empty_like(gamma_act)
@@ -426,59 +412,6 @@ class LdaVariational(_LdaBase):
                 gamma_act, gamma_new = gamma_new, gamma_act
             next_deadline = deadline.min()
 
-    def _gamma_perdoc(
-        self,
-        corpus: _Corpus,
-        exp_elog_beta: np.ndarray,
-        gamma: np.ndarray,
-        passes: int = 1,
-    ) -> None:
-        """Reference document-by-document fixed point (slow, exact)."""
-        bounds = np.r_[corpus.doc_starts, corpus.doc_idx.size]
-        for seg, d in enumerate(corpus.doc_labels):
-            lo, hi = bounds[seg], bounds[seg + 1]
-            beta_d = exp_elog_beta[:, corpus.word_idx[lo:hi]].T
-            cnt = corpus.counts[lo:hi]
-            g = gamma[d]
-            for p in range(passes):
-                g_start = g
-                for _ in range(self.inner_iter):
-                    elog = np.exp(digamma(g) - digamma(g.sum()))
-                    theta = np.tile(elog, (hi - lo, 1))
-                    phinorm = np.einsum("ij,ij->i", theta, beta_d) + 1e-100
-                    weighted = (cnt / phinorm)[:, None] * beta_d
-                    s = np.add.reduceat(weighted, [0], axis=0)[0]
-                    g_new = self.alpha + elog * s
-                    delta = np.abs(g_new - g).mean()
-                    g = g_new
-                    if delta < self.tol:
-                        break
-                if p and np.abs(g - g_start).mean() < self.tol:
-                    break
-            gamma[d] = g
-
-    def _gamma_global(
-        self, corpus: _Corpus, exp_elog_beta: np.ndarray, gamma: np.ndarray
-    ) -> None:
-        """Pre-optimization batched sweep with a corpus-wide tolerance."""
-        k = self.n_topics
-        n_docs = gamma.shape[0]
-        beta_cells = exp_elog_beta[:, corpus.word_idx].T
-        for _ in range(self.inner_iter):
-            exp_elog_theta = _exp_elog(gamma)
-            theta_cells = exp_elog_theta[corpus.doc_idx]
-            phinorm = np.einsum("ij,ij->i", theta_cells, beta_cells) + 1e-100
-            weighted = (corpus.counts / phinorm)[:, None] * beta_cells
-            s = np.zeros((n_docs, k))
-            s[corpus.doc_labels] = np.add.reduceat(
-                weighted, corpus.doc_starts, axis=0
-            )
-            gamma_new = self.alpha + exp_elog_theta * s
-            delta = np.abs(gamma_new - gamma).mean()
-            gamma[...] = gamma_new
-            if delta < self.tol:
-                break
-
     def _sstats(
         self, cells: _WordMajor, exp_elog_beta: np.ndarray, gamma: np.ndarray
     ) -> np.ndarray:
@@ -503,33 +436,27 @@ class LdaVariational(_LdaBase):
         )
         return sstats_t.T
 
-    def _e_step(
+    def _estimate_gamma(
         self,
         corpus: _Corpus | None,
         exp_elog_beta: np.ndarray,
         gamma: np.ndarray,
         passes: int = 1,
     ) -> None:
-        """Run the configured engine on ``gamma`` in place.
+        """Run the fixed point on ``gamma`` in place.
 
         ``gamma`` holds the starting point: a fresh draw, or the
         previous outer iteration's posterior — after the first few
         M-steps the topics barely move, so warm-started documents
         converge in a handful of sweeps instead of running the full
         ``inner_iter`` budget from a cold start every E-step.
-        ``passes`` is the per-document outer budget of the warm
-        engines; the legacy engine always runs one pass.  Documents
-        with no in-vocabulary words keep the prior.
+        ``passes`` is the per-document outer budget.  Documents with no
+        in-vocabulary words keep the prior.
         """
         if corpus is None:
             gamma[:] = self.alpha
             return
-        if self.e_step == "perdoc":
-            self._gamma_perdoc(corpus, exp_elog_beta, gamma, passes)
-        elif self.e_step == "global":
-            self._gamma_global(corpus, exp_elog_beta, gamma)
-        else:
-            self._gamma_batched(corpus, exp_elog_beta, gamma, passes)
+        self._fixed_point(corpus, exp_elog_beta, gamma, passes)
         gamma[corpus.empty_docs] = self.alpha
 
     def fit(self, docs: list[np.ndarray]) -> "LdaVariational":
@@ -538,34 +465,23 @@ class LdaVariational(_LdaBase):
         corpus = self._corpus(docs)
         cells = self._word_major(corpus) if corpus is not None else None
         lam = rng.gamma(100.0, 0.01, size=(self.n_topics, self.vocab_size))
-        gamma = None
-        # The legacy engine redraws gamma every E-step (the pre-engine
-        # behaviour, kept as the benchmark baseline); the per-document
-        # engines carry the previous posterior across outer iterations.
-        warm = self.e_step != "global"
+        # Each E-step starts from the previous outer iteration's posterior.
+        gamma = rng.gamma(100.0, 0.01, size=(len(docs), self.n_topics))
+        prev_gamma = None
         for _ in range(self.n_iter):
             exp_elog_beta = _exp_elog(lam)
-            prev_gamma = gamma
-            if warm and gamma is not None:
+            if prev_gamma is not None:
                 gamma = gamma.copy()
-            else:
-                gamma = rng.gamma(100.0, 0.01, size=(len(docs), self.n_topics))
-            self._e_step(corpus, exp_elog_beta, gamma)
+            self._estimate_gamma(corpus, exp_elog_beta, gamma)
             if cells is None:
                 lam = self.beta + np.zeros_like(exp_elog_beta)
             else:
                 lam = self.beta + self._sstats(cells, exp_elog_beta, gamma)
-            # Warm engines stop outer iterations once the posterior stops
-            # moving (same tolerance as the per-document check); batched
-            # and perdoc see bit-identical gammas, so they stop at the
-            # same iteration.  The legacy engine always runs the full
-            # budget, as it did before the training engine existed.
-            if (
-                warm
-                and prev_gamma is not None
-                and np.abs(gamma - prev_gamma).mean() < self.tol
-            ):
+            # Stop once the posterior stops moving (the same tolerance as
+            # the per-document check).
+            if prev_gamma is not None and np.abs(gamma - prev_gamma).mean() < self.tol:
                 break
+            prev_gamma = gamma
         self._set_lambda(lam)
         self.doc_topic_ = gamma / gamma.sum(axis=1, keepdims=True)
         return self
@@ -573,25 +489,21 @@ class LdaVariational(_LdaBase):
     def transform(self, docs: list[np.ndarray]) -> np.ndarray:
         """Infer topic distributions for held-out docs with frozen topics.
 
-        The warm engines give every document up to ``n_iter`` E-step
-        passes, each warm-started from the previous one, and stop a
-        document once a pass moves its ``gamma`` by less than ``tol`` in
-        mean — documents the single ``inner_iter`` budget cannot settle
-        get the same accumulated refinement the training gammas receive
-        across outer iterations, so re-inference agrees with the
-        training posterior.  The legacy engine runs one pass, one
-        document at a time, because its tolerance is corpus-wide.
-        Either way the check is per document, so the output is
-        batch-invariant: ``transform(docs)[i]`` equals
-        ``transform([docs[i]])[0]`` bit for bit.
+        Every document gets up to ``n_iter`` E-step passes, each
+        warm-started from the previous one, and stops once a pass moves
+        its ``gamma`` by less than ``tol`` in mean — documents the single
+        ``inner_iter`` budget cannot settle get the same accumulated
+        refinement the training gammas receive across outer iterations,
+        so re-inference agrees with the training posterior.  The check
+        is per document, so the output is batch-invariant:
+        ``transform(docs)[i]`` equals ``transform([docs[i]])[0]`` bit for
+        bit.
         """
         self._check_fitted()
         _validate_docs(docs, self.vocab_size)
-        if self.e_step == "global" and len(docs) > 1:
-            return np.vstack([self.transform([doc]) for doc in docs])
         gamma = np.ones((len(docs), self.n_topics))
-        passes = 1 if self.e_step == "global" else self.n_iter
-        self._e_step(self._corpus(docs), self._exp_elog_beta, gamma, passes)
+        corpus = self._corpus(docs)
+        self._estimate_gamma(corpus, self._exp_elog_beta, gamma, self.n_iter)
         return gamma / gamma.sum(axis=1, keepdims=True)
 
     def to_state(self) -> tuple[dict, np.ndarray]:
@@ -610,13 +522,23 @@ class LdaVariational(_LdaBase):
             "inner_iter": self.inner_iter,
             "tol": self.tol,
             "seed": self.seed,
-            "e_step": self.e_step,
         }
         return meta, self._lambda
 
     @classmethod
     def from_state(cls, meta: dict, lam: np.ndarray) -> "LdaVariational":
-        """Rebuild a fitted model from a :meth:`to_state` snapshot."""
+        """Rebuild a fitted model from a :meth:`to_state` snapshot.
+
+        Snapshots from before the single E-step engine carry an
+        ``e_step`` tag.  ``"batched"`` and ``"perdoc"`` ran the arithmetic
+        of today's engine and load as it; ``"global"`` inferred held-out
+        documents differently, so its snapshot is refused.
+        """
+        if meta.get("e_step", "batched") not in ("batched", "perdoc"):
+            raise ValueError(
+                f"e_step {meta['e_step']!r} snapshots are no longer supported; "
+                "refit the topic model"
+            )
         lam = np.asarray(lam, dtype=float)
         model = cls(
             int(meta["n_topics"]),
@@ -627,7 +549,6 @@ class LdaVariational(_LdaBase):
             inner_iter=int(meta.get("inner_iter", 40)),
             tol=meta.get("tol", 1e-4),
             seed=int(meta.get("seed", 0)),
-            e_step=meta.get("e_step", "batched"),
         )
         if lam.shape != (model.n_topics, model.vocab_size):
             raise ValueError(

@@ -1,7 +1,7 @@
 """Finite-difference gradient checks for the manual backprop stack.
 
-The fused training engine rewrote every backward pass to run in place
-through preallocated buffers; these checks pin the analytic gradients of
+Training runs every backward pass in place through preallocated
+buffers; these checks pin the analytic gradients of
 each activation/loss pairing (and the point-process NLL path, whose
 gradient is injected by hand rather than through a loss object) against
 central differences.

@@ -1,4 +1,4 @@
-"""Held-out inference is batch-invariant under every LDA engine.
+"""Held-out inference is batch-invariant for every LDA model.
 
 ``transform(docs)[i]`` must equal ``transform([docs[i]])[0]`` bit for
 bit: serving infers every post of a thread, and every question of a
@@ -14,13 +14,15 @@ from hypothesis import strategies as st
 import repro.topics.lda as lda_module
 from repro.topics.lda import LdaGibbs, LdaVariational
 
+from .lda_oracle import PerDocLdaVariational
+
 N_TOPICS = 3
 BLOCK = 4  # topic t owns words [BLOCK * t, BLOCK * (t + 1))
 VOCAB = N_TOPICS * BLOCK
 # Words of every topic at once: its posterior converges dozens of
 # sweeps after a single-topic document's, over several passes.
 STRAGGLER = np.repeat(np.arange(VOCAB), 3)
-ENGINES = ["batched", "perdoc", "global"]
+ENGINES = {"batched": LdaVariational, "perdoc": PerDocLdaVariational}
 
 
 def _corpus() -> list[np.ndarray]:
@@ -40,10 +42,10 @@ def _corpus() -> list[np.ndarray]:
 @pytest.fixture(scope="module")
 def models():
     fitted = {
-        engine: LdaVariational(
-            N_TOPICS, VOCAB, n_iter=30, inner_iter=10, seed=0, e_step=engine
-        ).fit(_corpus())
-        for engine in ENGINES
+        engine: cls(N_TOPICS, VOCAB, n_iter=30, inner_iter=10, seed=0).fit(
+            _corpus()
+        )
+        for engine, cls in ENGINES.items()
     }
     fitted["gibbs"] = LdaGibbs(N_TOPICS, VOCAB, n_iter=20, seed=0).fit(
         _corpus()
@@ -102,7 +104,7 @@ def _with_examples(test):
     return test
 
 
-@pytest.mark.parametrize("engine", ENGINES + ["gibbs"])
+@pytest.mark.parametrize("engine", [*ENGINES, "gibbs"])
 @settings(max_examples=25, deadline=None)
 @given(docs=batches())
 @_with_examples
@@ -140,6 +142,6 @@ def test_straggler_converges_long_after_single_topic_docs(
     assert hard >= 4 * easy
 
 
-@pytest.mark.parametrize("engine", ENGINES)
+@pytest.mark.parametrize("engine", list(ENGINES))
 def test_empty_batch(models, engine):
     assert models[engine].transform([]).shape == (0, N_TOPICS)
