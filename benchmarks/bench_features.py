@@ -25,7 +25,9 @@ The topic inference that fills that cache, ``d(p)`` of every new post,
 is timed separately: the last posts of the forum, already encoded,
 through ``LdaVariational.transform`` one post per call and in batches
 of 3 and 8 (a thread's posts, a micro-batch's questions), with the
-batched output asserted bit-identical to the one-post calls.
+batched output asserted bit-identical to the one-post calls.  A batch
+costs as many fixed-point sweeps as its slowest post, so the record
+also counts the sweeps of each post alone and of each batch of 8.
 """
 
 import dataclasses
@@ -41,6 +43,7 @@ from conftest import FORUM_CONFIG
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
 
+import repro.topics.lda as lda_module  # noqa: E402
 from repro.core.features import PairBlocks  # noqa: E402
 from repro.forum.models import Thread  # noqa: E402
 from repro.topics.tokenizer import split_text_and_code, tokenize  # noqa: E402
@@ -185,7 +188,27 @@ def test_feature_matrix_throughput(benchmark, dataset, extractor):
     assert oracle_seconds / train_seconds >= MIN_SPEEDUP
 
 
-def test_topic_inference_batches(dataset, extractor):
+def count_sweeps(model, batches, monkeypatch):
+    """Fixed-point sweeps of ``model.transform`` on each batch, counted
+    on the inference module's digamma: two calls per sweep."""
+    calls = []
+    digamma = lda_module.digamma
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return digamma(*args, **kwargs)
+
+    sweeps = []
+    with monkeypatch.context() as patch:
+        patch.setattr(lda_module, "digamma", counting)
+        for batch in batches:
+            calls.clear()
+            model.transform(batch)
+            sweeps.append(len(calls) // 2)
+    return np.array(sweeps)
+
+
+def test_topic_inference_batches(dataset, extractor, monkeypatch):
     topics = extractor.topics
     posts = [p for t in dataset.threads for p in t.posts][-N_POSTS:]
     docs = [
@@ -215,6 +238,16 @@ def test_topic_inference_batches(dataset, extractor):
         str(size): round(seconds / len(docs) * 1e3, 4)
         for size, seconds in best.items()
     }
+    single = count_sweeps(model, [[doc] for doc in docs], monkeypatch)
+    of_8 = count_sweeps(
+        model, [docs[i : i + 8] for i in range(0, len(docs), 8)], monkeypatch
+    )
+    sweeps = {
+        "alone_mean": round(float(single.mean()), 1),
+        "alone_max": int(single.max()),
+        "batch_of_8_mean": round(float(of_8.mean()), 1),
+        "batch_of_8_max": int(of_8.max()),
+    }
     record_bench(
         RESULT_PATH,
         "inference",
@@ -226,6 +259,7 @@ def test_topic_inference_batches(dataset, extractor):
                 float(np.mean([np.unique(d).size for d in docs])), 1
             ),
             "ms_per_post_by_batch_size": ms_per_post,
+            "sweeps": sweeps,
         },
     )
     print(
@@ -234,5 +268,7 @@ def test_topic_inference_batches(dataset, extractor):
             f"{ms} ms/post in batches of {size}"
             for size, ms in ms_per_post.items()
         )
-        + f" -> {RESULT_PATH.name}"
+        + f"; {sweeps['alone_mean']} sweeps/post alone (max "
+        f"{sweeps['alone_max']}), {sweeps['batch_of_8_mean']} per batch of 8"
+        f" -> {RESULT_PATH.name}"
     )

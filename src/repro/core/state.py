@@ -49,11 +49,10 @@ from ..forum.models import Thread
 from ..graphs import (
     EdgeMultiset,
     UndirectedGraph,
-    betweenness_centrality,
-    closeness_centrality,
     dense_links,
     qa_links,
 )
+from ..graphs.centrality import _closeness_and_betweenness
 from ..topics.tokenizer import split_text_and_code
 from .columnar import (
     AnswerLog,
@@ -506,22 +505,13 @@ class ForumState:
             perf.incr("state.centrality_cache_hits")
             return self._centralities
         with perf.timer("state.centrality"):
-            qa_graph = self._qa.graph()
-            dense_graph = self._dense.graph()
-            self._centralities = (
-                closeness_centrality(qa_graph),
-                betweenness_centrality(
-                    qa_graph,
-                    sample_sources=betweenness_sample_size,
-                    seed=seed,
-                ),
-                closeness_centrality(dense_graph),
-                betweenness_centrality(
-                    dense_graph,
-                    sample_sources=betweenness_sample_size,
-                    seed=seed,
-                ),
+            qa, dense = (
+                _closeness_and_betweenness(
+                    store.graph(), betweenness_sample_size, seed
+                )
+                for store in (self._qa, self._dense)
             )
+            self._centralities = (*qa, *dense)
         self._centrality_key = key
         return self._centralities
 

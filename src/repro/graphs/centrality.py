@@ -61,7 +61,11 @@ def closeness_centrality(graph: UndirectedGraph) -> dict[Hashable, float]:
     of the depth times the number of sources that reach it there: an
     exact integer.
     """
-    nodes, indptr, indices = _csr(graph)
+    return _closeness(_csr(graph))
+
+
+def _closeness(csr: tuple) -> dict[Hashable, float]:
+    nodes, indptr, indices = csr
     n = len(nodes)
     # Isolated nodes reach no one.  Leaving them out makes every other
     # node's OR over its neighbors one non-empty reduceat segment.
@@ -143,7 +147,13 @@ def betweenness_centrality(
     subset of sources and rescaled by ``n / |sample|``.  Exact when the
     cap is None or at least the node count.
     """
-    nodes, indptr, indices = _csr(graph)
+    return _betweenness(_csr(graph), normalized, sample_sources, seed)
+
+
+def _betweenness(
+    csr: tuple, normalized: bool, sample_sources: int | None, seed: int
+) -> dict[Hashable, float]:
+    nodes, indptr, indices = csr
     n = len(nodes)
     adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     scale_sources = 1.0
@@ -180,3 +190,11 @@ def betweenness_centrality(
     if normalized and n > 2:
         scale /= (n - 1) * (n - 2) / 2.0
     return {v: betweenness[i] * scale for i, v in enumerate(nodes)}
+
+
+def _closeness_and_betweenness(
+    graph: UndirectedGraph, sample_sources: int | None, seed: int
+) -> tuple[dict[Hashable, float], dict[Hashable, float]]:
+    """Both measures from one CSR build, for the refit path."""
+    csr = _csr(graph)
+    return _closeness(csr), _betweenness(csr, False, sample_sources, seed)

@@ -14,13 +14,13 @@ from hypothesis import strategies as st
 import repro.topics.lda as lda_module
 from repro.topics.lda import LdaGibbs, LdaVariational
 
-from .lda_oracle import PerDocLdaVariational
+from .lda_oracle import WARMUP_SWEEPS, PerDocLdaVariational, _documents, _sweep
 
 N_TOPICS = 3
 BLOCK = 4  # topic t owns words [BLOCK * t, BLOCK * (t + 1))
 VOCAB = N_TOPICS * BLOCK
-# Words of every topic at once: its posterior converges dozens of
-# sweeps after a single-topic document's, over several passes.
+# Words of every topic at once: its posterior converges past the plain
+# warm-up, long after a single-topic document's.
 STRAGGLER = np.repeat(np.arange(VOCAB), 3)
 ENGINES = {"batched": LdaVariational, "perdoc": PerDocLdaVariational}
 
@@ -95,6 +95,8 @@ BATCH_EXAMPLES = [
     [np.array([], dtype=np.int64), np.array([0, 0, 0, 1])],
     [np.array([0, 1]), STRAGGLER, np.array([0, 1]), np.array([4, 4, 4])],
     [STRAGGLER, np.array([8, 9, 10, 11, 8, 9]), STRAGGLER],
+    # Settles on sweep 22, mid-cycle, while the straggler sweeps on.
+    [np.array([0, 7, 11]), STRAGGLER],
 ]
 
 
@@ -116,30 +118,78 @@ def test_batched_inference_equals_per_document(models, engine, docs):
     np.testing.assert_array_equal(together, alone)
 
 
-def test_straggler_converges_long_after_single_topic_docs(
-    models, monkeypatch
-):
-    """The straggler really does keep sweeping alone in a batch, so the
-    property exercises the active-set compaction and the per-document
-    outer loop."""
+@pytest.fixture
+def digamma_calls(monkeypatch):
+    """The length of every digamma argument: a sweep of the batched
+    engine makes two calls, both on (active docs, ...) arrays."""
     calls = []
     original = lda_module.digamma
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(x, *args, **kwargs):
+        calls.append(len(x))
+        return original(x, *args, **kwargs)
 
     monkeypatch.setattr(lda_module, "digamma", counting)
+    return calls
 
-    def sweeps(doc):
-        calls.clear()
-        models["batched"].transform([doc])
-        return len(calls) // 2  # two digamma calls per sweep
 
-    easy = max(sweeps(np.array([t * BLOCK, t * BLOCK + 1])) for t in range(3))
-    hard = sweeps(STRAGGLER)
-    assert hard > 2 * models["batched"].inner_iter  # three passes or more
-    assert hard >= 4 * easy
+def _active_sizes(model, docs, calls):
+    """Active-set size of every sweep of ``model.transform(docs)``."""
+    calls.clear()
+    model.transform(docs)
+    return calls[::2]
+
+
+def test_straggler_extrapolates_alone_after_compaction(
+    models, digamma_calls, monkeypatch
+):
+    """In a batch the single-topic documents finish during the plain
+    warm-up and the straggler sweeps on alone past it, so the property
+    exercises compaction with kept cycle state; extrapolation settles
+    it in fewer sweeps than the plain loop."""
+    easy = [np.array([t * BLOCK, t * BLOCK + 1]) for t in range(N_TOPICS)]
+    sizes = _active_sizes(models["batched"], [*easy, STRAGGLER], digamma_calls)
+    assert sizes[0] == N_TOPICS + 1
+    assert set(sizes[WARMUP_SWEEPS - 1 :]) == {1}
+    assert len(sizes) > WARMUP_SWEEPS + 2  # a whole cycle alone
+
+    monkeypatch.setattr(lda_module, "_WARMUP_SWEEPS", 10**9)  # never extrapolate
+    plain = _active_sizes(models["batched"], [STRAGGLER], digamma_calls)
+    assert len(sizes) < len(plain)
+
+
+@pytest.mark.parametrize("engine", list(ENGINES))
+def test_transform_returns_a_fixed_point(models, engine):
+    """One more plain sweep from each returned gamma moves it by less
+    than ``tol`` in mean: the stop is on a plain sweep, not on an
+    extrapolated point."""
+    model = models[engine]
+    rng = np.random.default_rng(0)
+    docs = [*_corpus(), STRAGGLER]
+    docs += [rng.integers(0, VOCAB, rng.integers(1, 13)) for _ in range(100)]
+    corpus = model._corpus(docs)
+    gamma = np.ones((len(docs), N_TOPICS))
+    model._squarem(corpus, model._exp_elog_beta, gamma)
+    for d, beta_d, cnt in _documents(corpus, model._exp_elog_beta):
+        step = _sweep(gamma[d], beta_d, cnt, model.alpha)
+        assert np.abs(step - gamma[d]).mean() < model.tol
+
+
+@pytest.mark.parametrize("budget", [WARMUP_SWEEPS - 5, WARMUP_SWEEPS + 2])
+def test_unsettled_document_stops_at_sweep_budget(models, digamma_calls, budget):
+    """A document the budget cannot settle stops after exactly
+    ``n_iter * inner_iter`` sweeps, in the warm-up or mid-cycle, with
+    that sweep's result."""
+    meta, lam = models["batched"].to_state()
+    meta = {**meta, "n_iter": 1, "inner_iter": budget}
+    capped = {e: cls.from_state(meta, lam) for e, cls in ENGINES.items()}
+    docs = [np.array([0, 1]), STRAGGLER]
+    assert len(_active_sizes(capped["batched"], docs, digamma_calls)) == budget
+    together = capped["batched"].transform(docs)
+    np.testing.assert_array_equal(together, capped["perdoc"].transform(docs))
+    settled = models["batched"].transform(docs)
+    np.testing.assert_array_equal(together[0], settled[0])
+    assert not np.array_equal(together[1], settled[1])
 
 
 @pytest.mark.parametrize("engine", list(ENGINES))

@@ -9,7 +9,7 @@ in identical order, so we actually hold them to bit-level agreement.
 import numpy as np
 import pytest
 
-from repro.topics.lda import LdaVariational
+from repro.topics.lda import LdaVariational, _extrapolate
 
 from .lda_oracle import PerDocLdaVariational
 
@@ -44,7 +44,8 @@ class TestEngineEquivalence:
     def test_transform_matches_perdoc_exactly(self):
         batched = _fit("batched")
         perdoc = _fit("perdoc")
-        held_out = _docs(99, n_docs=15)
+        # Seed 110 adds a document whose SqS3 step length is clamped.
+        held_out = _docs(99, n_docs=15) + _docs(110, n_docs=15)
         np.testing.assert_array_equal(
             batched.transform(held_out), perdoc.transform(held_out)
         )
@@ -63,6 +64,31 @@ class TestEngineEquivalence:
         model.fit(docs)
         block_mass = model.topic_word_[:, :15].sum(axis=1)
         assert (block_mass.min() < 0.05) and (block_mass.max() > 0.95)
+
+
+class TestExtrapolate:
+    """The SqS3 step on hand-worked cycles, row by row."""
+
+    def test_linear_cycle_lands_on_its_fixed_point(self):
+        # Each sweep halves the distance to (2, 2): |r| / |v| = 2.
+        g0, g1, g2 = np.array([[[4.0, 1.0]], [[3.0, 1.5]], [[2.5, 1.75]]])
+        np.testing.assert_array_equal(_extrapolate(g0, g1, g2, 0.1), [[2.0, 2.0]])
+
+    def test_step_never_shorter_than_the_plain_one(self):
+        # An oscillating cycle: |r| / |v| = 1/2 is clamped to 1, which
+        # lands on g2.
+        g0, g1, g2 = np.array([[[1.0, 2.0]], [[2.0, 1.0]], [[1.0, 2.0]]])
+        np.testing.assert_array_equal(_extrapolate(g0, g1, g2, 0.1), g2)
+
+    def test_rows_leaving_the_support_take_g2(self):
+        # Row 0 lands on (2, 2) == alpha, row 1 on (3, 3) > alpha; row 2
+        # does not move, so its step length is 0 / 0.
+        g0 = np.array([[4.0, 1.0], [5.0, 2.0], [3.0, 3.0]])
+        g1 = np.array([[3.0, 1.5], [4.0, 2.5], [3.0, 3.0]])
+        g2 = np.array([[2.5, 1.75], [3.5, 2.75], [3.0, 3.0]])
+        with np.errstate(invalid="ignore"):
+            out = _extrapolate(g0, g1, g2, 2.0)
+        np.testing.assert_array_equal(out, [g2[0], [3.0, 3.0], g2[2]])
 
 
 class TestEngineConfig:
