@@ -41,13 +41,16 @@ ONLINE_KWARGS = dict(
 
 
 # Where each refit's wall-clock goes: feature matrices, topic refit,
-# task-model fits, and the graph centralities of the state freeze.
-# Anything outside these (the rest of the freeze, bookkeeping) shows up
-# as the remainder against ``online.refit``.
+# task-model fits (with the vote and timing heads inside them), and the
+# graph centralities of the state freeze.  Anything outside these (the
+# rest of the freeze, bookkeeping) shows up as the remainder against
+# ``online.refit``.
 _REFIT_STAGES = (
     "pipeline.features",
     "pipeline.fit_topics",
     "pipeline.fit_models",
+    "pipeline.fit_vote",
+    "pipeline.fit_timing",
     "state.centrality",
 )
 

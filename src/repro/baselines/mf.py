@@ -15,6 +15,21 @@ from ..ml.optimizers import Adam
 __all__ = ["MatrixFactorization"]
 
 
+def _views(flat: np.ndarray, n_rows: int, k: int) -> tuple[np.ndarray, ...]:
+    """(row biases, column biases, row factors, column factors) as views
+    of one flat vector laid out in that order."""
+    n_cols = flat.size // (k + 1) - n_rows
+    row_bias, col_bias, row_factors, col_factors = np.split(
+        flat, np.cumsum([n_rows, n_cols, n_rows * k])
+    )
+    return (
+        row_bias,
+        col_bias,
+        row_factors.reshape(n_rows, k),
+        col_factors.reshape(n_cols, k),
+    )
+
+
 class MatrixFactorization:
     """Regularized biased MF on sparse real-valued observations."""
 
@@ -80,11 +95,14 @@ class MatrixFactorization:
             raise ValueError("column index out of range")
         rng = np.random.default_rng(self.seed)
         n_obs = rows.size
+        n_rows, n_cols, k = self.n_rows, self.n_cols, self.n_factors
         self.global_mean_ = float(values.mean())
-        row_bias = np.zeros(self.n_rows)
-        col_bias = np.zeros(self.n_cols)
-        row_factors = rng.normal(0.0, 0.05, size=(self.n_rows, self.n_factors))
-        col_factors = rng.normal(0.0, 0.05, size=(self.n_cols, self.n_factors))
+        # The four parameter arrays are views of one flat vector, so an
+        # Adam step is one pass over it.
+        theta = np.zeros((n_rows + n_cols) * (k + 1))
+        row_bias, col_bias, row_factors, col_factors = _views(theta, n_rows, k)
+        row_factors[...] = rng.normal(0.0, 0.05, size=(n_rows, k))
+        col_factors[...] = rng.normal(0.0, 0.05, size=(n_cols, k))
         for target, init in (
             (row_bias, row_bias_init),
             (col_bias, col_bias_init),
@@ -98,33 +116,33 @@ class MatrixFactorization:
                         f"warm-start shape {init.shape} != {target.shape}"
                     )
                 target[...] = init
-        params = [row_bias, col_bias, row_factors, col_factors]
+        grad = np.empty_like(theta)
+        g_rb, g_cb, g_rf, g_cf = _views(grad, n_rows, k)
         opt = Adam(learning_rate=self.learning_rate)
+        scale = 2.0 / n_obs
         self.loss_history_ = []
         for _ in range(self.n_iter):
+            rf = row_factors[rows]
+            cf = col_factors[cols]
             pred = (
                 self.global_mean_
                 + row_bias[rows]
                 + col_bias[cols]
-                + np.sum(row_factors[rows] * col_factors[cols], axis=1)
+                + np.sum(rf * cf, axis=1)
             )
             err = pred - values
             mse = float(np.mean(err * err))
             self.loss_history_.append(mse)
-            scale = 2.0 / n_obs
-            grad_rb = np.zeros_like(row_bias)
-            np.add.at(grad_rb, rows, scale * err)
-            grad_cb = np.zeros_like(col_bias)
-            np.add.at(grad_cb, cols, scale * err)
-            grad_rf = np.zeros_like(row_factors)
-            np.add.at(grad_rf, rows, scale * err[:, None] * col_factors[cols])
-            grad_cf = np.zeros_like(col_factors)
-            np.add.at(grad_cf, cols, scale * err[:, None] * row_factors[rows])
-            grad_rb += self.l2 * row_bias / n_obs
-            grad_cb += self.l2 * col_bias / n_obs
-            grad_rf += self.l2 * row_factors / n_obs
-            grad_cf += self.l2 * col_factors / n_obs
-            opt.step(params, [grad_rb, grad_cb, grad_rf, grad_cf])
+            # bincount adds each bucket's terms in input order from
+            # zero, as np.add.at does; one call per gradient column.
+            err *= scale
+            g_rb[...] = np.bincount(rows, err, minlength=n_rows)
+            g_cb[...] = np.bincount(cols, err, minlength=n_cols)
+            for f in range(k):
+                g_rf[:, f] = np.bincount(rows, err * cf[:, f], minlength=n_rows)
+                g_cf[:, f] = np.bincount(cols, err * rf[:, f], minlength=n_cols)
+            grad += self.l2 * theta / n_obs
+            opt.step([theta], [grad])
         self.row_bias_, self.col_bias_ = row_bias, col_bias
         self.row_factors_, self.col_factors_ = row_factors, col_factors
         return self

@@ -84,6 +84,10 @@ class TimingModel:
         event rows.  ``epochs`` overrides the configured budget for one
         call; warm refits pass a reduced budget to fine-tune the
         already-trained process instead of re-running the full schedule.
+        Patience scales with it: ``max(1, patience * epochs // self.epochs)``
+        stale epochs end an overridden fit.  The fit keeps its best-epoch
+        weights, so a shorter patience changes the result only when a
+        validation improvement follows a stall that long.
         """
         times = np.asarray(times, dtype=float)
         is_event = np.asarray(is_event, dtype=float)
@@ -100,16 +104,21 @@ class TimingModel:
         # outcome depends only on (weights, data), which the parallel
         # fit path and the warm-refit tests rely on.
         self.optimizer.reset()
+        patience = self.patience
+        if epochs is None:
+            epochs = self.epochs
+        else:
+            patience = max(1, self.patience * epochs // self.epochs)
         result = self.process.fit(
             z,
             np.asarray(times, dtype=float),
             np.asarray(horizons, dtype=float),
             np.asarray(is_event, dtype=float),
             optimizer=self.optimizer,
-            epochs=self.epochs if epochs is None else epochs,
+            epochs=epochs,
             batch_size=self.batch_size,
             validation_fraction=self.validation_fraction,
-            patience=self.patience,
+            patience=patience,
             seed=self.seed,
         )
         self._fitted = True

@@ -62,6 +62,8 @@ class VoteModel:
         answers without it.  ``epochs`` overrides the configured budget
         for one call; warm refits pass a reduced budget to fine-tune the
         already-trained network instead of re-running the full schedule.
+        Unlike the timing head's, patience does not shrink with it: a
+        warm vote fit can improve again after a stall of 5 epochs.
         """
         z = self.scaler.fit_transform(np.asarray(x, dtype=float))
         # Adam moments always restart: a warm refit fine-tunes from the

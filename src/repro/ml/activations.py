@@ -11,8 +11,10 @@ reuse preallocated buffers instead of allocating per minibatch, and
 ``backward`` accepts ``cached_output`` — the activation output computed by
 the matching ``forward`` — which lets tanh/sigmoid derivatives reuse the
 forward value instead of recomputing the transcendental.  ``out`` may
-alias ``grad_out`` (the fused path passes ``out=grad_out``); it must not
-alias ``z``.
+alias ``grad_out`` or ``z``: each backward reads what it needs of ``z``
+before writing ``out``.  The training engine passes ``out=z`` (the
+layer's pre-activation buffer, which the gradient replaces), and
+``Tanh`` stages ``1 - t²`` in it.
 """
 
 from __future__ import annotations
@@ -109,7 +111,13 @@ class Tanh(Activation):
         cached_output: np.ndarray | None = None,
     ) -> np.ndarray:
         t = cached_output if cached_output is not None else np.tanh(z)
-        return np.multiply(grad_out, 1.0 - t * t, out=out)
+        if out is None or np.may_share_memory(out, grad_out):
+            return np.multiply(grad_out, 1.0 - t * t, out=out)
+        # 1 - t^2 staged in ``out``: the same three operations, without
+        # two batch x width temporaries per call.
+        np.multiply(t, t, out=out)
+        np.subtract(1.0, out, out=out)
+        return np.multiply(grad_out, out, out=out)
 
 
 class Sigmoid(Activation):

@@ -159,18 +159,31 @@ class Dense:
         z += self.bias
         return self.activation.forward(z, out=z)
 
-    def backward(self, grad_out: np.ndarray, *, buffered: bool = False) -> np.ndarray:
+    def backward(
+        self,
+        grad_out: np.ndarray,
+        *,
+        buffered: bool = False,
+        input_grad: bool = True,
+    ) -> np.ndarray | None:
+        """Fill ``grad_weight``/``grad_bias``; return ``dLoss/dinput``.
+
+        ``input_grad=False`` skips the input gradient and returns None
+        (a network's first layer in a training step: nothing reads it).
+        The buffered pass writes the pre-activation gradient over the
+        pre-activation buffer, so it consumes the forward's cache.
+        """
         if self._input is None or self._pre_activation is None:
             raise RuntimeError("backward called before forward")
         if buffered:
+            z, self._pre_activation = self._pre_activation, None
             grad_z = self.activation.backward(
-                self._pre_activation,
-                grad_out,
-                out=grad_out,
-                cached_output=self._output,
+                z, grad_out, out=z, cached_output=self._output
             )
             np.matmul(self._input.T, grad_z, out=self.grad_weight)
             grad_z.sum(axis=0, out=self.grad_bias)
+            if not input_grad:
+                return None
             grad_x = self._buffers(grad_z.shape[0])[2]
             return np.matmul(grad_z, self.weight.T, out=grad_x)
         grad_z = self.activation.backward(
@@ -178,7 +191,7 @@ class Dense:
         )
         np.matmul(self._input.T, grad_z, out=self.grad_weight)
         grad_z.sum(axis=0, out=self.grad_bias)
-        return grad_z @ self.weight.T
+        return grad_z @ self.weight.T if input_grad else None
 
     def __getstate__(self):
         state = self.__dict__.copy()
@@ -295,14 +308,19 @@ class MLP:
 
     def backward(
         self, grad_out: np.ndarray, *, buffered: bool = False
-    ) -> np.ndarray:
+    ) -> np.ndarray | None:
         """Backpropagate ``dLoss/doutput``; returns ``dLoss/dinput``.
 
         Layer gradients are stored on each layer and include the L2 term.
+        The buffered (training) pass returns None: it skips the first
+        layer's input gradient, which no training step reads.
         """
         grad = np.asarray(grad_out, dtype=float)
-        for layer in reversed(self.layers):
+        for layer in self.layers[:0:-1]:
             grad = layer.backward(grad, buffered=buffered)
+        grad = self.layers[0].backward(
+            grad, buffered=buffered, input_grad=not buffered
+        )
         if self.l2 > 0.0:
             for layer in self.layers:
                 layer.grad_weight += self.l2 * layer.weight

@@ -152,14 +152,17 @@ def _extrapolate(g0, g1, g2, alpha: float) -> np.ndarray:
     r = g1 - g0
     v = g2 - g1
     v -= r
-    s = np.sqrt(np.add.reduce(r * r, axis=1) / np.add.reduce(v * v, axis=1))
-    np.maximum(s, 1.0, out=s)
-    s = s[:, None]
-    v *= s
-    r += r
-    v += r
-    v *= s
-    v += g0
+    # A row at an exact fixed point (possible with tol <= 0) has
+    # r = v = 0; its NaN step fails the support test below.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = np.sqrt(np.add.reduce(r * r, axis=1) / np.add.reduce(v * v, axis=1))
+        np.maximum(s, 1.0, out=s)
+        s = s[:, None]
+        v *= s
+        r += r
+        v += r
+        v *= s
+        v += g0
     inside = np.minimum.reduce(v, axis=1, keepdims=True) > alpha
     np.copyto(v, g2, where=~inside)
     return v

@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.mf import MatrixFactorization
 from repro.ml.metrics import rmse
+
+from .mf_oracle import AddAtMatrixFactorization
 
 
 def low_rank_data(n_rows=40, n_cols=30, k=3, noise=0.1, seed=0):
@@ -59,6 +63,56 @@ class TestFit:
         np.testing.assert_array_equal(
             a.predict(rows[:5], cols[:5]), b.predict(rows[:5], cols[:5])
         )
+
+
+@st.composite
+def mf_problems(draw):
+    """A small factorization: observations that repeat rows and columns
+    and may leave some unobserved, optional warm-start inits, and 1-6
+    factors."""
+    n_rows = draw(st.integers(1, 8))
+    n_cols = draw(st.integers(1, 8))
+    n_factors = draw(st.integers(1, 6))
+    cells = draw(
+        st.lists(
+            st.tuples(
+                st.integers(0, n_rows - 1),
+                st.integers(0, n_cols - 1),
+                st.floats(-5, 5, allow_nan=False),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    rows, cols, values = (np.array(c) for c in zip(*cells))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shapes = {
+        "row_bias_init": (n_rows,),
+        "col_bias_init": (n_cols,),
+        "row_factors_init": (n_rows, n_factors),
+        "col_factors_init": (n_cols, n_factors),
+    }
+    inits = {
+        name: rng.normal(size=shape)
+        for name, shape in shapes.items()
+        if draw(st.booleans())
+    }
+    return (n_rows, n_cols, n_factors), (rows, cols, values), inits
+
+
+@settings(max_examples=60, deadline=None)
+@given(mf_problems(), st.integers(0, 3))
+def test_fit_matches_add_at_oracle(problem, seed):
+    """The bincount fit over one flat parameter vector reproduces the
+    per-array np.add.at fit bit for bit: factors, biases and losses."""
+    (n_rows, n_cols, n_factors), data, inits = problem
+    kwargs = dict(n_factors=n_factors, n_iter=12, seed=seed)
+    got = MatrixFactorization(n_rows, n_cols, **kwargs).fit(*data, **inits)
+    want = AddAtMatrixFactorization(n_rows, n_cols, **kwargs).fit(*data, **inits)
+    for name in ("row_bias_", "col_bias_", "row_factors_", "col_factors_"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.loss_history_ == want.loss_history_
+    assert got.global_mean_ == want.global_mean_
 
 
 class TestValidation:

@@ -1,8 +1,12 @@
 """Tests for the three task models (answer, vote, timing) on pair data."""
 
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from repro.core import ForumPredictor
 from repro.core.answer_model import AnswerModel
 from repro.core.timing_model import TimingModel
 from repro.core.vote_model import VoteModel
@@ -114,3 +118,48 @@ class TestTimingModel:
     def test_unfitted_raises(self, pairs):
         with pytest.raises(RuntimeError):
             TimingModel(pairs.x.shape[1]).predict(pairs.x[:1], 1.0)
+
+
+def _stale_epochs(validation_history):
+    """Epochs run after the last improvement (by more than 1e-12)."""
+    best, best_epoch = np.inf, 0
+    for epoch, loss in enumerate(validation_history):
+        if loss < best - 1e-12:
+            best, best_epoch = loss, epoch
+    return len(validation_history) - 1 - best_epoch
+
+
+class TestTimingPatience:
+    """Patience scales with an overridden epoch budget: 25 stale epochs
+    end a cold 300-epoch fit, 25 * 60 // 300 = 5 a warm 60-epoch one."""
+
+    def test_warm_fit_stops_after_five_stale_epochs(self, pairs):
+        model = TimingModel(pairs.x.shape[1], seed=0)
+        assert (model.epochs, model.patience) == (300, 25)
+        args = (pairs.x, pairs.times, pairs.horizons, pairs.is_event)
+        cold = model.fit(*args)
+        assert len(cold.validation_history) < 300
+        assert _stale_epochs(cold.validation_history) == 25
+        warm = model.fit(*args, epochs=60)
+        assert len(warm.validation_history) < 60
+        assert _stale_epochs(warm.validation_history) == 5
+
+    def test_warm_refit_weights_match_full_patience(
+        self, dataset, predictor_config
+    ):
+        """A warm refit on a grown window keeps the weights it would get
+        with patience 25: no validation gain follows a 5-epoch stall."""
+        cfg = replace(predictor_config, timing_epochs=300, vote_epochs=5)
+        ids = [t.thread_id for t in dataset.threads]
+        early = dataset.subset(ids[: len(ids) * 3 // 5])
+        scaled = ForumPredictor(cfg).fit(early)
+        full = copy.deepcopy(scaled)
+        # An override equal to the budget keeps the configured patience.
+        full.timing_model.epochs = cfg.warm_epochs
+        scaled.fit(dataset, warm_start=True)
+        full.fit(dataset, warm_start=True)
+        for net in ("excitation_net", "decay_net"):
+            np.testing.assert_array_equal(
+                getattr(scaled.timing_model.process, net).flat_parameters(),
+                getattr(full.timing_model.process, net).flat_parameters(),
+            )

@@ -81,6 +81,26 @@ class TestBackwardMatchesNumericDerivative:
         expected = act.backward(z, np.ones_like(z)) * upstream
         np.testing.assert_allclose(act.backward(z, upstream), expected)
 
+    @pytest.mark.parametrize("act", ALL_ACTIVATIONS, ids=lambda a: a.name)
+    def test_out_buffers_match_allocating_backward(self, act):
+        """Writing into a separate ``out``, into ``grad_out`` or into
+        ``z`` (the training engine's choice; Tanh stages 1 - t^2 there)
+        gives the allocating result exactly."""
+        rng = np.random.default_rng(3)
+        z = rng.normal(size=(7, 5)) * 2
+        upstream = rng.normal(size=z.shape)
+        cached = act.forward(z.copy())
+        expected = act.backward(z, upstream, cached_output=cached)
+        out = np.full_like(z, np.nan)
+        got = act.backward(z, upstream, out=out, cached_output=cached)
+        np.testing.assert_array_equal(got, expected)
+        aliased = upstream.copy()
+        act.backward(z, aliased, out=aliased, cached_output=cached)
+        np.testing.assert_array_equal(aliased, expected)
+        scratch = z.copy()
+        act.backward(scratch, upstream, out=scratch, cached_output=cached)
+        np.testing.assert_array_equal(scratch, expected)
+
 
 class TestProperties:
     @given(finite_arrays)

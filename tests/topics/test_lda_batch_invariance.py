@@ -6,6 +6,8 @@ micro-batch, in one call, and the result may not depend on which other
 documents shared it.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -195,3 +197,21 @@ def test_unsettled_document_stops_at_sweep_budget(models, digamma_calls, budget)
 @pytest.mark.parametrize("engine", list(ENGINES))
 def test_empty_batch(models, engine):
     assert models[engine].transform([]).shape == (0, N_TOPICS)
+
+
+def test_zero_tol_reaches_fixed_points_without_warnings(models):
+    """With ``tol=0`` no document stops early, so documents reach exact
+    fixed points (r = v = 0) and their extrapolation step is 0/0.  That
+    row falls back to its plain sweep, quietly: the output is the same
+    as with warnings ignored, and matches the per-document oracle."""
+    meta, lam = models["batched"].to_state()
+    meta = {**meta, "tol": 0.0}
+    model = LdaVariational.from_state(meta, lam)
+    docs = [*_corpus(), STRAGGLER, np.array([0, 1])]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        expected = PerDocLdaVariational.from_state(meta, lam).transform(docs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = model.transform(docs)
+    np.testing.assert_array_equal(got, expected)
