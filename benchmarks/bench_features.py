@@ -24,8 +24,10 @@ kernel alone.
 The topic inference that fills that cache, ``d(p)`` of every new post,
 is timed separately: the last posts of the forum, already encoded,
 through ``LdaVariational.transform`` one post per call and in batches
-of 3 and 8 (a thread's posts, a micro-batch's questions), with the
-batched output asserted bit-identical to the one-post calls.  A batch
+of 3, 8 and ``ForumState``'s flush size (a thread's posts, a
+micro-batch's questions, the posts one settle of ingested threads
+infers), with the batched output asserted bit-identical to the one-post
+calls.  A batch
 costs as many fixed-point sweeps as its slowest post, so the record
 also counts the sweeps of each post alone and of each batch of 8.
 """
@@ -45,6 +47,7 @@ sys.path.insert(0, str(ROOT))
 
 import repro.topics.lda as lda_module  # noqa: E402
 from repro.core.features import PairBlocks  # noqa: E402
+from repro.core.state import _SETTLE_DOCS  # noqa: E402
 from repro.forum.models import Thread  # noqa: E402
 from repro.topics.tokenizer import split_text_and_code, tokenize  # noqa: E402
 from tests.feature_oracle import scalar_matrix  # noqa: E402
@@ -55,7 +58,7 @@ ORACLE_REPEATS = 3
 MIN_SPEEDUP = 5.0
 N_QUESTIONS = 40
 N_POSTS = 120
-INFER_BATCHES = (1, 3, 8)
+INFER_BATCHES = (1, 3, 8, _SETTLE_DOCS)
 
 
 def build_pairs(dataset):

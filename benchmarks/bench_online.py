@@ -32,6 +32,9 @@ from repro.core import OnlineConfig, OnlineRecommendationLoop, ResilienceConfig
 
 RESULT_PATH = Path(__file__).resolve().parent.parent / "BENCH_online.json"
 
+# Plain and guarded replays per arm behind the resilience overhead.
+RESILIENCE_ROUNDS = 3
+
 ONLINE_KWARGS = dict(
     refit_interval_hours=168.0,
     window_hours=336.0,
@@ -112,23 +115,27 @@ def test_online_refit_speedup(benchmark, dataset, config):
 
     # Resilience-layer overhead on a clean stream: with the guard in
     # place but no faults injected, the report must stay identical and
-    # the added wall-clock should stay marginal (< 5% is the target;
-    # refit timing noise dominates short replays, so the recorded
-    # number is informational rather than asserted tightly).
-    start = time.perf_counter()
-    plain_again, _, _ = run_loop(config, dataset, refit_strategy="incremental")
-    plain_seconds = time.perf_counter() - start
-    start = time.perf_counter()
-    guarded, _, _ = run_loop(
-        config,
-        dataset,
-        resilience=ResilienceConfig(),
-        refit_strategy="incremental",
+    # the added wall-clock should stay marginal (< 5% is the target).
+    # One replay of each swings by more than that on a shared host, so
+    # plain and guarded replays take turns, each side leading every
+    # other round, and the best of each is compared.
+    replay_seconds = {"plain": [], "guarded": []}
+    for i in range(RESILIENCE_ROUNDS):
+        for arm in ("plain", "guarded")[:: 1 if i % 2 == 0 else -1]:
+            start = time.perf_counter()
+            report, _, _ = run_loop(
+                config,
+                dataset,
+                resilience=ResilienceConfig() if arm == "guarded" else None,
+                refit_strategy="incremental",
+            )
+            replay_seconds[arm].append(time.perf_counter() - start)
+            assert_reports_equal(incremental, report)
+            if arm == "guarded":
+                assert report.degradation is not None and report.degradation.ok
+    resilience_overhead = (
+        min(replay_seconds["guarded"]) / min(replay_seconds["plain"]) - 1.0
     )
-    guarded_seconds = time.perf_counter() - start
-    assert_reports_equal(incremental, guarded)
-    assert guarded.degradation is not None and guarded.degradation.ok
-    resilience_overhead = guarded_seconds / plain_seconds - 1.0
     assert resilience_overhead < 0.10
 
     report = benchmark.pedantic(
@@ -167,6 +174,14 @@ def test_online_refit_speedup(benchmark, dataset, config):
         "warm_rebuild_report_identical": True,
         "resilient_report_identical": True,
         "resilience_overhead": round(resilience_overhead, 4),
+        "resilience_replay_seconds": {
+            arm: [round(t, 4) for t in times]
+            for arm, times in replay_seconds.items()
+        },
+        "resilience_replay_spread": {
+            arm: round(max(times) / min(times) - 1.0, 4)
+            for arm, times in replay_seconds.items()
+        },
         "precision_at_5": round(report.precision_at(5), 6),
         "mrr": round(report.mrr, 6),
     }
@@ -181,8 +196,8 @@ def test_online_refit_speedup(benchmark, dataset, config):
         f"-> {RESULT_PATH.name}"
     )
     print(
-        f"  resilience overhead (faults disabled): "
-        f"{resilience_overhead * 100:+.1f}%"
+        f"  resilience overhead (faults disabled, best of "
+        f"{RESILIENCE_ROUNDS} each): {resilience_overhead * 100:+.1f}%"
     )
     for arm, stages in (
         ("incremental", inc_stages),

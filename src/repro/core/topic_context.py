@@ -87,21 +87,38 @@ class TopicModelContext:
 
         Every uncached post is inferred in one ``transform`` call and
         cached by ``post_id``.  Inference is batch-invariant, so each
-        vector equals what :meth:`post_topics` alone would give.
+        vector equals what :meth:`post_topics` alone would give, and a
+        caller may encode posts at once and infer them later, together
+        (:meth:`encode_uncached`, :meth:`infer_encoded`).
+        """
+        self.infer_encoded(self.encode_uncached(posts))
+        return [self._post_topics[post.post_id] for post in posts]
+
+    def encode_uncached(self, posts: Sequence[Post]) -> dict[int, np.ndarray]:
+        """Encoded bodies of the posts with no cached ``d(p)``, by id.
+
+        A post id seen twice keeps its first body.  A body that cannot
+        be tokenized raises here.
         """
         cache = self._post_topics
-        missing: dict[int, Post] = {}
+        encoded: dict[int, np.ndarray] = {}
         for post in posts:
-            if post.post_id not in cache:
-                missing.setdefault(post.post_id, post)
+            if post.post_id not in cache and post.post_id not in encoded:
+                encoded[post.post_id] = self._encode(post.body)
+        return encoded
+
+    def infer_encoded(self, encoded: dict[int, np.ndarray]) -> None:
+        """Infer and cache ``d(p)`` of every still-uncached encoded post,
+        in one ``transform`` call."""
+        cache = self._post_topics
+        missing = {
+            pid: doc for pid, doc in encoded.items() if pid not in cache
+        }
         if missing:
             with perf.timer("topics.infer"):
-                dists = self.model.transform(
-                    [self._encode(post.body) for post in missing.values()]
-                )
+                dists = self.model.transform(list(missing.values()))
             perf.incr("topics.docs_inferred", len(missing))
             cache.update(zip(missing, dists))
-        return [cache[post.post_id] for post in posts]
 
     def infer_body(self, body: str) -> np.ndarray:
         """Topic distribution for raw post HTML via the frozen topics."""

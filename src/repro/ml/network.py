@@ -193,6 +193,13 @@ class Dense:
         grad_z.sum(axis=0, out=self.grad_bias)
         return grad_z @ self.weight.T if input_grad else None
 
+    def release(self) -> None:
+        """Drop the cached batch and every per-batch-size buffer."""
+        self._input = None
+        self._pre_activation = None
+        self._output = None
+        self._bufs = {}
+
     def __getstate__(self):
         state = self.__dict__.copy()
         # Transient batch state never survives pickling (workers of the
@@ -338,6 +345,16 @@ class MLP:
             grads.extend((layer.grad_weight, layer.grad_bias))
         return grads
 
+    def release_buffers(self) -> None:
+        """Drop every layer's training buffers and cached batch.
+
+        A fit sizes buffers by its batch, short-batch and validation
+        sizes, and each warm refit's window brings new ones; released at
+        the end of every fit, they do not accumulate over a model's life.
+        """
+        for layer in self.layers:
+            layer.release()
+
     def flat_parameters(self) -> np.ndarray:
         """All parameters as one flat vector (layer arrays are views of it)."""
         return self._flat_params
@@ -462,4 +479,5 @@ class MLP:
                         break
         if best_params is not None:
             self._flat_params[...] = best_params
+        self.release_buffers()
         return result

@@ -282,6 +282,9 @@ class ExcitationPointProcess:
         if best_params is not None:
             for p, best in zip(params, best_params):
                 p[...] = best
+        self.excitation_net.release_buffers()
+        if self.decay_net is not None:
+            self.decay_net.release_buffers()
         self._fitted = True
         return result
 

@@ -551,14 +551,18 @@ class TestSegmentInference:
         )
 
     def test_one_transform_per_segment(self, stream_dataset, transform_sizes):
+        """One pass per segment; between them the refit settles the posts
+        the state queued since its last settle, in one pass of its own."""
         core = make_cache_core(stream_dataset)
         questions = self.crossing_batch(core, stream_dataset, 840000)
         epoch = core.refit_epoch
+        queued = core._state._pending_docs
+        assert queued > 0
         transform_sizes.clear()
         responses = self.route(core, questions)
         assert core.refit_epoch == epoch + 1
         assert all(r.ok for r in responses)
-        assert transform_sizes == [3, 3]
+        assert transform_sizes == [3, queued, 3]
 
     @pytest.mark.parametrize(
         "strategy, warm_start", [("incremental", True), ("rebuild", False)]

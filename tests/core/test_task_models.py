@@ -2,6 +2,7 @@
 
 import copy
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from repro.core.answer_model import AnswerModel
 from repro.core.timing_model import TimingModel
 from repro.core.vote_model import VoteModel
 from repro.ml.metrics import auc_score, rmse
+from repro.ml.network import MLP
 
 
 class TestAnswerModel:
@@ -163,3 +165,64 @@ class TestTimingPatience:
                 getattr(scaled.timing_model.process, net).flat_parameters(),
                 getattr(full.timing_model.process, net).flat_parameters(),
             )
+
+
+class TestTrainingBuffers:
+    """A fit releases its per-batch-size training buffers when it returns,
+    so a long-lived predictor's buffers do not grow over warm refits, and
+    the weights equal those of fits that keep their buffers."""
+
+    @staticmethod
+    def layers(predictor):
+        process = predictor.timing_model.process
+        nets = (
+            predictor.vote_model.network,
+            process.excitation_net,
+            process.decay_net,
+        )
+        return [layer for net in nets for layer in net.layers]
+
+    def sliding_refits(self, dataset, predictor_config):
+        """Flat weights and per-layer buffer counts after each of six
+        warm refits on a window sliding over the test forum."""
+        cfg = replace(
+            predictor_config, vote_epochs=20, timing_epochs=20, warm_epochs=10
+        )
+        first = dataset.threads[0].created_at
+        span = dataset.threads[-1].created_at - first
+        predictor = ForumPredictor(cfg)
+        weights, counts = [], []
+        for i in range(6):
+            start = first + span * i / 12
+            predictor.fit(
+                dataset.threads_in_window(start, start + span / 2),
+                warm_start=True,
+            )
+            process = predictor.timing_model.process
+            weights.append(
+                [
+                    net.flat_parameters().copy()
+                    for net in (
+                        predictor.vote_model.network,
+                        process.excitation_net,
+                        process.decay_net,
+                    )
+                ]
+            )
+            counts.append([len(layer._bufs) for layer in self.layers(predictor)])
+        return weights, counts
+
+    def test_buffers_bounded_over_sliding_warm_refits(
+        self, dataset, predictor_config
+    ):
+        weights, counts = self.sliding_refits(dataset, predictor_config)
+        with mock.patch.object(MLP, "release_buffers", lambda self: None):
+            kept_weights, kept_counts = self.sliding_refits(
+                dataset, predictor_config
+            )
+        assert all(n == 0 for per_fit in counts for n in per_fit)
+        # Kept, the buffers pile up: each window brings new batch sizes.
+        assert max(kept_counts[-1]) > max(kept_counts[0])
+        for got, want in zip(weights, kept_weights, strict=True):
+            for a, b in zip(got, want, strict=True):
+                np.testing.assert_array_equal(a, b)
