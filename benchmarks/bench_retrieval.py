@@ -32,9 +32,10 @@ from repro import perf
 from repro.core import (
     ForumPredictor,
     OnlineConfig,
-    OnlineRecommendationLoop,
     PredictorConfig,
     QuestionRouter,
+    ServingCore,
+    replay,
 )
 from repro.core.retrieval import (
     CandidateRetriever,
@@ -301,11 +302,9 @@ def test_online_replay_precision(benchmark, dataset, config):
     )
 
     def run(retrieval):
-        loop = OnlineRecommendationLoop(
-            config, OnlineConfig(**kwargs, retrieval=retrieval)
-        )
+        core = ServingCore(config, OnlineConfig(**kwargs, retrieval=retrieval))
         with perf.use_registry() as registry:
-            report = loop.run(dataset)
+            report = replay(core, dataset)
         return report, registry
 
     dense_report, _ = run(None)

@@ -20,9 +20,8 @@ import pytest
 
 from _meta import record_bench
 from repro import perf
-from repro.core import ForumPredictor, PredictorConfig
+from repro.core import ForumPredictor, OnlineConfig, PredictorConfig
 from repro.core.features import FeatureExtractor
-from repro.core.online import OnlineConfig
 from repro.core.serving import (
     BatchPolicy,
     RecommendationService,

@@ -10,11 +10,7 @@ Run with:  python examples/online_deployment.py
 
 import numpy as np
 
-from repro.core import (
-    OnlineConfig,
-    OnlineRecommendationLoop,
-    PredictorConfig,
-)
+from repro.core import OnlineConfig, PredictorConfig, ServingCore, replay
 from repro.forum import ForumConfig, generate_forum
 
 
@@ -25,7 +21,7 @@ def main() -> None:
     dataset, _ = forum.dataset.preprocess()
     print(f"streaming {len(dataset)} questions over 30 days")
 
-    loop = OnlineRecommendationLoop(
+    core = ServingCore(
         PredictorConfig(
             vote_epochs=100, timing_epochs=100, betweenness_sample_size=150
         ),
@@ -36,7 +32,7 @@ def main() -> None:
             epsilon=0.25,
         ),
     )
-    report = loop.run(dataset)
+    report = replay(core, dataset)
 
     pool = len(dataset.answerers)
     mean_relevant = float(np.mean([len(a) for _, a in report.rankings]))

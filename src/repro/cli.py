@@ -28,11 +28,11 @@ from pathlib import Path
 from .core import (
     ForumPredictor,
     OnlineConfig,
-    OnlineRecommendationLoop,
     PredictorConfig,
     QuestionRouter,
     ResilienceConfig,
     RetrievalConfig,
+    ServingCore,
     run_table1,
 )
 from .core.persistence import load_predictor, save_predictor
@@ -103,18 +103,6 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--topics", type=int, default=8)
     replay.add_argument("--seed", type=int, default=0)
     replay.add_argument("--betweenness-samples", type=int, default=None)
-    replay.add_argument(
-        "--strategy",
-        choices=("incremental", "rebuild"),
-        default="incremental",
-        help="refit by updating the live window state or by full rebuild",
-    )
-    replay.add_argument(
-        "--cold-start",
-        action="store_true",
-        help="refit topics and networks from scratch every refit "
-        "(rebuild strategy only)",
-    )
     replay.add_argument("--refit-interval", type=float, default=120.0)
     replay.add_argument("--window", type=float, default=480.0)
     replay.add_argument("--warmup", type=float, default=120.0)
@@ -357,12 +345,8 @@ def _parse_fault_plan(spec: str):
 
 def _cmd_replay(args) -> int:
     from . import perf
+    from .core.online import replay
 
-    if args.cold_start and args.strategy == "incremental":
-        print(
-            "error: --cold-start requires --strategy rebuild", file=sys.stderr
-        )
-        return 2
     fault_plan = None
     if args.faults is not None:
         try:
@@ -387,16 +371,14 @@ def _cmd_replay(args) -> int:
         window_hours=args.window,
         warmup_hours=args.warmup,
         top_k=args.top_k,
-        refit_strategy=args.strategy,
-        warm_start=not args.cold_start,
         retrieval=retrieval,
     )
     resilience = ResilienceConfig() if fault_plan is not None else None
-    loop = OnlineRecommendationLoop(_config_from_args(args), online, resilience)
+    core = ServingCore(_config_from_args(args), online, resilience)
     with perf.use_registry() as registry:
-        report = loop.run(dataset, fault_plan=fault_plan)
+        report = replay(core, dataset, fault_plan)
     print(
-        f"strategy {args.strategy}: {report.n_refits} refits, "
+        f"{report.n_refits} refits, "
         f"{report.n_questions_seen} questions seen, {report.n_routed} routed"
     )
     refit = registry.stage("online.refit")

@@ -25,7 +25,7 @@ from .evaluation import (
 )
 from .features import FeatureExtractor, QuestionInfo
 from .featurespec import FEATURE_GROUPS, FEATURE_ORDER, FeatureSpec
-from .online import OnlineConfig, OnlineRecommendationLoop, OnlineReport
+from .online import replay
 from .persistence import (
     CheckpointCorruptError,
     CheckpointLoadResult,
@@ -71,6 +71,7 @@ from .serving import (
     VirtualClock,
     run_load,
 )
+from .serving.service import OnlineConfig, OnlineReport
 from .state import ForumState, FrozenState
 from .timing_model import TimingModel
 from .tradeoff import (
@@ -95,8 +96,8 @@ __all__ = [
     "load_checkpoint",
     "write_checkpoint",
     "OnlineConfig",
-    "OnlineRecommendationLoop",
     "OnlineReport",
+    "replay",
     "DegradationRecord",
     "DegradationReport",
     "FaultInjector",

@@ -1,190 +1,125 @@
-"""Online deployment loop for the recommendation system.
+"""Chronological replay of a dataset through the serving engine.
 
 The paper's conclusion proposes "incorporating our recommendation
-system into an online forum platform".  This module simulates exactly
-that deployment: questions arrive in time order; the predictors are
-periodically refit on a sliding window of history; each new question is
-routed while it is still unanswered; and afterwards the recommendations
-are scored against the users who *actually* answered, with standard
-ranking metrics (hit rate, MRR, NDCG).
+system into an online forum platform".  :func:`replay` simulates
+exactly that deployment: questions arrive in time order; the predictors
+are periodically refit on a sliding window of history; each new
+question is routed while it is still unanswered; and afterwards the
+recommendations are scored against the users who *actually* answered,
+with standard ranking metrics (hit rate, MRR, NDCG).
 
 Unlike the cross-validation harness, nothing here ever looks into the
 future: features, graphs and topics come only from threads created
 before the question being routed.
 
-The engine itself — fixed-grid refits, the two refit strategies,
-candidate preparation, ranking + Sec.-V-LP routing, window state and
-the resilient-recovery machinery — lives in
-:class:`~repro.core.serving.service.ServingCore`, shared with the
-async :class:`~repro.core.serving.service.RecommendationService`.
-:class:`OnlineRecommendationLoop` is the thin chronological driver over
-that core: it replays a dataset one thread at a time and produces the
-same :class:`OnlineReport` it always did, bit for bit, so it remains
-the reference both for the cross-validation comparison and for the
-serving-stack equivalence tests.
+The engine — fixed-grid incremental refits, candidate preparation,
+ranking + Sec.-V-LP routing, window state and the resilient-recovery
+machinery — is :class:`~repro.core.serving.service.ServingCore`, shared
+with the async :class:`~repro.core.serving.service.RecommendationService`.
+:func:`replay` only feeds it one thread at a time, so a replay and a
+virtual-clock run of the service execute the same engine code on the
+same schedule.
 
 Refits run on a fixed grid (``warmup_hours``, then every
 ``refit_interval_hours``) anchored to the stream clock, not to arrival
 times, so cadence cannot drift when questions arrive in bursts; grid
-points with no arrivals are caught up at the next question.
+points with no arrivals are caught up at the next question.  Each
+event runs the grid check before it is observed, so the window of a
+refit at ``now`` holds exactly the threads with
+``now - window_hours <= created_at < now``.
 
-Two refit strategies share the loop:
-
-* ``"incremental"`` (default) — one long-lived
-  :class:`~repro.core.state.ForumState` absorbs each thread after it is
-  routed (``append``) and drops expired ones at refit time (``evict``);
-  each refit freezes the state and warm-starts the task models.  Topics
-  are fitted once, at the first feasible refit.
-* ``"rebuild"`` — the window state is rebuilt from scratch every refit
-  (the pre-incremental behaviour).  With ``warm_start=True`` this is
-  numerically identical to the incremental path — both freeze states
-  holding the same threads under the same topic context — which the
-  equivalence tests assert report-for-report.  With ``warm_start=False``
-  topics and networks are refit cold each time.
-
-One caveat inherited from the window semantics: refit windows are
-end-exclusive at the refit instant (``[now - window, now)``), and the
-incremental state holds *every* thread routed so far.  A thread whose
-``created_at`` exactly ties the refit time would therefore be excluded
-by the rebuild arm but included by the incremental one; with continuous
-timestamps such ties do not occur.
-
-Resilient serving: constructing the loop with a
-:class:`~repro.core.resilience.ResilienceConfig` (or passing a
-:class:`~repro.core.resilience.FaultPlan` to :meth:`run`) switches the
-replay onto a hardened path.  Every event passes a
+Resilient serving: a core built with a
+:class:`~repro.core.resilience.ResilienceConfig`, or a
+:class:`~repro.core.resilience.FaultPlan` passed to :func:`replay`,
+switches the replay onto a hardened path.  Every event passes a
 :class:`~repro.core.resilience.StreamGuard` (quarantine/repair/dedupe),
-``_refit`` is wrapped in bounded retry with snapshot fallback and
+each refit is wrapped in bounded retry with snapshot fallback and
 schedule-level backoff, non-finite scores are masked before ranking,
 and every decision is recorded in a per-step
 :class:`~repro.core.resilience.DegradationReport` attached to the
-returned :class:`OnlineReport`.  On a clean stream the resilient path
-produces a report identical to the plain one, which the differential
-tests assert.
+returned :class:`~repro.core.serving.service.OnlineReport`.  On a clean
+stream the resilient path produces a report identical to the plain
+one, which the differential tests assert.
 """
 
 from __future__ import annotations
 
 from ..forum.dataset import ForumDataset
-from .pipeline import PredictorConfig
 from .resilience import (
     DegradationReport,
     FaultInjector,
     FaultPlan,
     ResilienceConfig,
 )
-from .serving.service import OnlineConfig, OnlineReport, ServingCore
+from .serving.service import OnlineReport, ServingCore
 
-__all__ = ["OnlineConfig", "OnlineReport", "OnlineRecommendationLoop"]
+__all__ = ["replay"]
 
 
-class OnlineRecommendationLoop:
-    """Replays a dataset through periodic-refit routing.
+def replay(
+    core: ServingCore,
+    dataset: ForumDataset,
+    fault_plan: FaultPlan | None = None,
+) -> OnlineReport:
+    """Stream the dataset's questions through ``core``.
 
-    A thin synchronous driver over :class:`ServingCore`: every refit,
-    routing and state decision is delegated, so a replay here and a
-    virtual-clock run of the async service execute the same engine
-    code on the same schedule.
+    Questions are visited chronologically; the model in use at any
+    point was trained strictly on earlier threads.
+
+    With a ``fault_plan`` (or a core-level
+    :class:`~repro.core.resilience.ResilienceConfig`) the stream is
+    perturbed by a :class:`~repro.core.resilience.FaultInjector` and
+    replayed through the hardened path; the returned report then
+    carries a :class:`~repro.core.resilience.DegradationReport`.
     """
+    if fault_plan is None and core.resilience_config is None:
+        return _replay_plain(core, dataset)
+    return _replay_guarded(core, dataset, fault_plan)
 
-    def __init__(
-        self,
-        predictor_config: PredictorConfig | None = None,
-        online_config: OnlineConfig | None = None,
-        resilience_config: ResilienceConfig | None = None,
-    ):
-        self.core = ServingCore(
-            predictor_config, online_config, resilience_config
-        )
 
-    @property
-    def predictor_config(self) -> PredictorConfig:
-        return self.core.predictor_config
+def _replay_plain(core: ServingCore, dataset: ForumDataset) -> OnlineReport:
+    report = OnlineReport()
+    for thread in dataset:  # already chronological
+        now = thread.created_at
+        core.maybe_refit(dataset, now, report)
+        core.route(thread, now, report)
+        # Fold the thread into the live window only after it has been
+        # routed — it must not inform its own recommendation.
+        core.observe(thread)
+    return report
 
-    @property
-    def online_config(self) -> OnlineConfig:
-        return self.core.online_config
 
-    @property
-    def resilience_config(self) -> ResilienceConfig | None:
-        return self.core.resilience_config
+def _replay_guarded(
+    core: ServingCore, dataset: ForumDataset, fault_plan: FaultPlan | None
+) -> OnlineReport:
+    """Hardened replay: guard every event, recover every refit.
 
-    @property
-    def guard(self):
-        return self.core.guard
-
-    # Tests wrap the refit entry point to inject failures; delegate to
-    # the core's hook so the recovery path picks the wrapper up too.
-    @property
-    def _refit(self):
-        return self.core.refit_hook
-
-    @_refit.setter
-    def _refit(self, hook) -> None:
-        self.core.refit_hook = hook
-
-    def run(
-        self, dataset: ForumDataset, fault_plan: FaultPlan | None = None
-    ) -> OnlineReport:
-        """Stream the dataset's questions through the deployment loop.
-
-        Questions are visited chronologically; the model in use at any
-        point was trained strictly on earlier threads.
-
-        With a ``fault_plan`` (or a loop-level
-        :class:`~repro.core.resilience.ResilienceConfig`) the stream is
-        perturbed by a :class:`~repro.core.resilience.FaultInjector`
-        and replayed through the hardened path; the returned report then
-        carries a :class:`~repro.core.resilience.DegradationReport`.
-        """
-        if fault_plan is None and self.core.resilience_config is None:
-            return self._run_plain(dataset)
-        return self._run_resilient(dataset, fault_plan)
-
-    def _run_plain(self, dataset: ForumDataset) -> OnlineReport:
-        core = self.core
-        report = OnlineReport()
-        for thread in dataset:  # already chronological
-            now = thread.created_at
-            core.maybe_refit(dataset, now, report)
-            core.route(thread, now, report)
-            # Fold the thread into the live window only after it has
-            # been routed — it must not inform its own recommendation.
-            core.observe(thread)
-        return report
-
-    def _run_resilient(
-        self, dataset: ForumDataset, fault_plan: FaultPlan | None
-    ) -> OnlineReport:
-        """Hardened replay: guard every event, recover every refit.
-
-        Mirrors :meth:`_run_plain` step for step — on a clean stream the
-        two paths produce identical reports: refit windows are built
-        from the admitted prefix with the same end-exclusive slicing,
-        and routing/appending happen in the same order.
-        """
-        core = self.core
-        res = core.resilience_config or ResilienceConfig()
-        report = OnlineReport()
-        degradation = DegradationReport()
-        report.degradation = degradation
-        guard = core.attach_guard(res, degradation)
-        if fault_plan is not None:
-            stream = FaultInjector(fault_plan).perturb(dataset)
-        else:
-            stream = list(dataset)
-        for event in stream:
-            thread = guard.admit(event)
-            if thread is None:
-                continue
-            # The current event sits last in ``accepted``; the
-            # end-exclusive window slice excludes it, exactly as the
-            # plain path excludes it from the full dataset.
-            core.accepted.append(thread)
-            now = thread.created_at
-            core.maybe_refit_resilient(now, report, degradation, res)
-            core.route(thread, now, report, degradation)
-            # Routed first, observed second — the thread must not
-            # inform its own recommendation.
-            core.observe_admitted(thread, degradation)
-        return report
+    Mirrors :func:`_replay_plain` step for step — on a clean stream the
+    two paths produce identical reports: the bootstrap window is built
+    from the admitted prefix with the same end-exclusive slicing, and
+    routing/appending happen in the same order.
+    """
+    res = core.resilience_config or ResilienceConfig()
+    report = OnlineReport()
+    degradation = DegradationReport()
+    report.degradation = degradation
+    guard = core.attach_guard(res, degradation)
+    if fault_plan is not None:
+        stream = FaultInjector(fault_plan).perturb(dataset)
+    else:
+        stream = list(dataset)
+    for event in stream:
+        thread = guard.admit(event)
+        if thread is None:
+            continue
+        # The current event sits last in ``accepted``; the end-exclusive
+        # window slice excludes it, exactly as the plain path excludes
+        # it from the full dataset.
+        core.keep_admitted(thread)
+        now = thread.created_at
+        core.maybe_refit_resilient(now, report, degradation, res)
+        core.route(thread, now, report, degradation)
+        # Routed first, observed second — the thread must not inform
+        # its own recommendation.
+        core.observe_admitted(thread, degradation)
+    return report

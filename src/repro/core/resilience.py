@@ -15,8 +15,8 @@ can die halfway through.  This module makes that messiness first-class:
   clock, non-finite fields dropped or coerced, duplicates deduplicated),
   and every action lands in a :class:`DegradationReport`.
 * :class:`ResilienceConfig` — knobs for the guard plus the bounded
-  retry-with-backoff / snapshot-fallback policy the online loop wraps
-  around ``_refit``.
+  retry-with-backoff / snapshot-fallback policy the serving core wraps
+  around its ``refit_hook``.
 
 Determinism contract: with a fixed ``FaultPlan(seed=s)`` the perturbed
 stream, every guard decision and therefore the whole faulted replay are

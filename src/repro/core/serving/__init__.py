@@ -1,7 +1,7 @@
 """Layered async serving stack around the recommendation engine.
 
-The online deployment loop (:mod:`repro.core.online`) replays one
-thread at a time; this package decomposes the same engine into the
+The online replay (:func:`repro.core.online.replay`) feeds the engine
+one thread at a time; this package decomposes the same engine into the
 layers a real service needs:
 
 * :mod:`~repro.core.serving.clock` — a deterministic virtual clock that
@@ -15,7 +15,7 @@ layers a real service needs:
   policy;
 * :mod:`~repro.core.serving.service` — the synchronous
   :class:`~repro.core.serving.service.ServingCore` engine (refits,
-  routing, state) shared with the legacy replay loop, plus the async
+  routing, state) that the replay drives too, plus the async
   :class:`~repro.core.serving.service.RecommendationService` facade
   exposing submit_event / route_question / health / metrics;
 * :mod:`~repro.core.serving.harness` — the seeded concurrent load

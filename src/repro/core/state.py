@@ -41,8 +41,8 @@ tables bit-identical to a state built fresh from the same thread window
 * graphs are rebuilt in canonical (sorted) order before centralities,
   so set-iteration order never depends on the mutation history.
 
-The online loop relies on this to make its incremental refit path
-produce the exact same :class:`OnlineReport` as a full rebuild.
+The serving core relies on this: its incremental refits produce the
+exact same :class:`OnlineReport` as a full rebuild of every window.
 """
 
 from __future__ import annotations

@@ -3,9 +3,9 @@
 The :class:`ScenarioMatrixRunner` runs each preset twice:
 
 * a **replay leg** — the preset's dataset through
-  :class:`~repro.core.online.OnlineRecommendationLoop` on the hardened
-  path (StreamGuard + recovery) with the preset's fault plan, producing
-  ranking accuracy, refit counts and a
+  :func:`~repro.core.online.replay` on the hardened path (StreamGuard +
+  recovery) with the preset's fault plan, producing ranking accuracy,
+  refit counts and a
   :class:`~repro.core.resilience.DegradationReport`;
 * a **serving leg** — a seeded traffic schedule through the async
   :class:`~repro.core.serving.service.RecommendationService` under the
@@ -25,7 +25,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, field
 
-from ...core.online import OnlineRecommendationLoop
+from ...core.online import replay
 from ...core.pipeline import PredictorConfig
 from ...core.resilience import ResilienceConfig
 from ...core.retrieval import RetrievalConfig
@@ -217,15 +217,14 @@ class ScenarioMatrixRunner:
     def replay(
         self, name: str, online_config: OnlineConfig | None = None
     ) -> tuple[ScenarioData, OnlineReport]:
-        """The replay leg: guarded loop with the preset's fault plan."""
+        """The replay leg: guarded replay with the preset's fault plan."""
         data = build_scenario(name, seed=self.seed, scale=self.scale)
-        loop = OnlineRecommendationLoop(
+        core = ServingCore(
             self.predictor_config,
             online_config or self.online_config,
             ResilienceConfig(),
         )
-        report = loop.run(data.dataset, data.preset.fault_plan)
-        return data, report
+        return data, replay(core, data.dataset, data.preset.fault_plan)
 
     def serve(self, data: ScenarioData) -> dict:
         """The serving leg: traffic through the async stack, summarized."""

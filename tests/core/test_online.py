@@ -1,9 +1,18 @@
-"""Tests for repro.core.online — the streaming deployment loop."""
+"""Tests for repro.core.online — the streaming deployment replay."""
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineConfig, OnlineRecommendationLoop, OnlineReport
+from repro.core.online import replay
+from repro.core.pipeline import PredictorConfig
+from repro.core.resilience import ResilienceConfig
+from repro.core.serving import RecommendationService, ServingCore
+from repro.core.serving.service import OnlineConfig, OnlineReport
+from repro.forum.dataset import ForumDataset
+from repro.forum.generator import ForumConfig, generate_forum
+from repro.forum.models import Thread
 
 
 class TestConfig:
@@ -42,7 +51,7 @@ class TestReport:
 class TestLoop:
     @pytest.fixture(scope="class")
     def report(self, dataset, predictor_config):
-        loop = OnlineRecommendationLoop(
+        core = ServingCore(
             predictor_config,
             OnlineConfig(
                 refit_interval_hours=240.0,
@@ -51,7 +60,7 @@ class TestLoop:
                 epsilon=0.2,
             ),
         )
-        return loop.run(dataset)
+        return replay(core, dataset)
 
     def test_loop_routes_questions(self, report):
         assert report.n_refits >= 1
@@ -88,3 +97,93 @@ class TestLoop:
         """No question before the warmup horizon may be scored."""
         # Indirect check: number of seen questions is below the total.
         assert report.n_questions_seen < len(dataset)
+
+
+class TestWindowBoundaries:
+    """A refit at ``now`` trains on exactly ``[now - window, now)``.
+
+    Two threads are created exactly at a refit grid instant and one
+    exactly at that refit's window start.  Every drive runs the grid
+    check before it observes an event, so the tied threads miss the
+    refit they tie and enter the next one, and the thread at the start
+    instant stays in.
+    """
+
+    ONLINE = OnlineConfig(
+        refit_interval_hours=96.0, window_hours=360.0, warmup_hours=96.0
+    )
+    PREDICTOR = PredictorConfig(
+        n_topics=2, vote_epochs=30, timing_epochs=30,
+        betweenness_sample_size=50,
+    )
+    GRID = 480.0  # an incremental refit: the bootstrap one is at 96 h
+
+    @staticmethod
+    def shifted(thread, tid, at):
+        """A copy of ``thread`` under fresh ids, asked at hour ``at``."""
+        posts = [thread.question, *thread.answers]
+        moved = [
+            replace(
+                post,
+                post_id=tid * 10 + i,
+                thread_id=tid,
+                timestamp=at + (post.timestamp - thread.created_at),
+            )
+            for i, post in enumerate(posts)
+        ]
+        return Thread(question=moved[0], answers=moved[1:])
+
+    @pytest.fixture(scope="class")
+    def tied(self):
+        forum = generate_forum(
+            ForumConfig(n_users=120, n_questions=140, activity_tail=1.4),
+            seed=3,
+        )
+        clean, _ = forum.dataset.preprocess()
+        answered = [t for t in clean if t.answers]
+        start = self.GRID - self.ONLINE.window_hours
+        extra = [
+            self.shifted(answered[0], 961000, self.GRID),
+            self.shifted(answered[1], 961001, self.GRID),
+            self.shifted(answered[2], 961002, start),
+        ]
+        return ForumDataset([*clean.threads, *extra]), extra
+
+    @staticmethod
+    def record_windows(core):
+        """Wrap the refit hook to log (now, window thread ids) per refit."""
+        windows = []
+        inner = core.refit_hook
+
+        def hook(dataset, now):
+            ok = inner(dataset, now)
+            if ok:
+                window = core._predictor.extractor.window
+                windows.append((now, {t.thread_id for t in window}))
+            return ok
+
+        core.refit_hook = hook
+        return windows
+
+    @pytest.mark.parametrize("drive", ["plain", "guarded", "service"])
+    def test_window_is_start_inclusive_end_exclusive(self, tied, drive):
+        dataset, (tie_a, tie_b, at_start) = tied
+        resilience = ResilienceConfig() if drive == "guarded" else None
+        core = ServingCore(self.PREDICTOR, self.ONLINE, resilience)
+        windows = self.record_windows(core)
+        if drive == "service":
+            RecommendationService(core).warm(dataset)
+        else:
+            replay(core, dataset)
+        assert len(windows) >= 3
+        for now, ids in windows:
+            start = max(0.0, now - self.ONLINE.window_hours)
+            assert ids == {
+                t.thread_id for t in dataset if start <= t.created_at < now
+            }
+        nows = [now for now, _ in windows]
+        at_grid = nows.index(self.GRID)
+        ties = {tie_a.thread_id, tie_b.thread_id}
+        assert at_start.thread_id in windows[at_grid][1]
+        assert not ties & windows[at_grid][1]
+        assert ties <= windows[at_grid + 1][1]

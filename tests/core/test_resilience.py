@@ -2,9 +2,9 @@
 
 The differential harness at the bottom is the heart of this file: the
 same dataset is replayed clean, through the zero-fault resilient path
-(which must be bit-identical to the plain loop), and through each fault
-class in isolation, reconciling what the injector recorded against what
-the hardened loop did about it.
+(which must be bit-identical to the plain replay), and through each
+fault class in isolation, reconciling what the injector recorded against
+what the hardened replay did about it.
 """
 
 import math
@@ -12,7 +12,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.core.online import OnlineConfig, OnlineRecommendationLoop
+from repro.core.online import replay
 from repro.core.pipeline import PredictorConfig
 from repro.core.resilience import (
     FAULT_KINDS,
@@ -23,6 +23,8 @@ from repro.core.resilience import (
     ResilienceConfig,
     StreamGuard,
 )
+from repro.core.serving import ServingCore
+from repro.core.serving.service import OnlineConfig
 from repro.forum.dataset import ForumDataset
 from repro.forum.generator import ForumConfig, generate_forum
 from repro.forum.models import Post, Thread
@@ -48,16 +50,14 @@ def stream_dataset():
 
 @pytest.fixture(scope="module")
 def plain_report(stream_dataset):
-    return OnlineRecommendationLoop(FAST_PREDICTOR, FAST_ONLINE).run(
-        stream_dataset
-    )
+    return replay(ServingCore(FAST_PREDICTOR, FAST_ONLINE), stream_dataset)
 
 
 def run_resilient(dataset, plan=None, resilience=None):
-    loop = OnlineRecommendationLoop(
+    core = ServingCore(
         FAST_PREDICTOR, FAST_ONLINE, resilience or ResilienceConfig()
     )
-    return loop.run(dataset, fault_plan=plan)
+    return replay(core, dataset, plan)
 
 
 def post(pid, tid, author, ts, votes=0, body="<p>x</p>", question=False):
@@ -373,16 +373,16 @@ class TestDifferentialHarness:
             assert degradation.count("repaired:early_answer_dropped") > 0
         elif kind == "truncated":
             # Truncation is silent at ingestion (a shorter thread is
-            # still well-formed); the loop must simply survive it.
+            # still well-formed); the replay must simply survive it.
             assert degradation.count("quarantined") == 0
 
 
 class TestRefitRecovery:
     def test_transient_failure_retried(self, stream_dataset):
-        loop = OnlineRecommendationLoop(
+        core = ServingCore(
             FAST_PREDICTOR, FAST_ONLINE, ResilienceConfig(max_refit_retries=2)
         )
-        inner = loop._refit
+        inner = core.refit_hook
         calls = {"n": 0, "failed": False}
 
         def flaky(dataset, now):
@@ -392,18 +392,18 @@ class TestRefitRecovery:
                 raise RuntimeError("transient worker death")
             return inner(dataset, now)
 
-        loop._refit = flaky
-        report = loop.run(stream_dataset)
+        core.refit_hook = flaky
+        report = replay(core, stream_dataset)
         summary = report.degradation.summary()
         assert summary.get("refit:retry") == 1
         assert "refit:fallback" not in summary
         assert all(np.isfinite(report.routed_scores))
 
     def test_persistent_failure_falls_back_with_backoff(self, stream_dataset):
-        loop = OnlineRecommendationLoop(
+        core = ServingCore(
             FAST_PREDICTOR, FAST_ONLINE, ResilienceConfig(max_refit_retries=1)
         )
-        inner = loop._refit
+        inner = core.refit_hook
         calls = {"n": 0}
 
         def poisoned(dataset, now):
@@ -412,8 +412,8 @@ class TestRefitRecovery:
                 raise NonFiniteFeatureError("poisoned window")
             return inner(dataset, now)
 
-        loop._refit = poisoned
-        report = loop.run(stream_dataset)
+        core.refit_hook = poisoned
+        report = replay(core, stream_dataset)
         summary = report.degradation.summary()
         assert summary.get("refit:fallback", 0) >= 1
         assert summary.get("refit:backoff_skipped", 0) >= 1

@@ -18,7 +18,7 @@ The load-bearing guarantees:
 import numpy as np
 import pytest
 
-from repro.core import OnlineConfig, OnlineRecommendationLoop
+from repro.core import OnlineConfig, ServingCore, replay
 from repro.core.retrieval import (
     CandidateRetriever,
     MFEmbeddingIndex,
@@ -491,12 +491,12 @@ class TestOrderIndependence:
 
 
 class TestDenseEquivalence:
-    """Two-stage with top-K = all is bit-identical to the dense loop."""
+    """Two-stage with top-K = all is bit-identical to the dense replay."""
 
     @pytest.fixture(scope="class")
     def reports(self, dataset, predictor_config):
         def run(retrieval):
-            loop = OnlineRecommendationLoop(
+            core = ServingCore(
                 predictor_config,
                 OnlineConfig(
                     refit_interval_hours=240.0,
@@ -506,7 +506,7 @@ class TestDenseEquivalence:
                     retrieval=retrieval,
                 ),
             )
-            return loop.run(dataset)
+            return replay(core, dataset)
 
         return run(None), run(RetrievalConfig.exhaustive())
 
@@ -539,7 +539,7 @@ class TestBoundedTwoStageLoop:
         retrieval = RetrievalConfig(
             topic_top_k=24, recency_top_k=24, mf_top_k=24, pool_size=48
         )
-        loop = OnlineRecommendationLoop(
+        core = ServingCore(
             predictor_config,
             OnlineConfig(
                 refit_interval_hours=240.0,
@@ -550,7 +550,7 @@ class TestBoundedTwoStageLoop:
             ),
         )
         with perf.use_registry() as registry:
-            report = loop.run(dataset)
+            report = replay(core, dataset)
         assert report.n_routed > 0
         queries = registry.counter("retrieval.queries")
         pooled = registry.counter("retrieval.pool_users")

@@ -3,7 +3,7 @@
 Two layers of protection for the full serving stack:
 
 * **Golden replays** — every preset is replayed once at a pinned
-  (seed, scale) through the guarded loop with its own fault plan; the
+  (seed, scale) through the guarded replay with its own fault plan; the
   sha256 digest of every routing decision and degradation record must
   match ``tests/golden/scenario_digests.json``.  Any behavioural drift
   anywhere in the stack (generation, distortion, featurization, refit
@@ -23,7 +23,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.core import OnlineRecommendationLoop, ResilienceConfig
+from repro.core import ResilienceConfig, ServingCore
+from repro.core import replay as replay_stream
 from repro.forum.scenarios import build_scenario, list_scenarios, scenario_digest
 from repro.forum.scenarios.runner import SCENARIO_ONLINE, SCENARIO_PREDICTOR
 
@@ -36,12 +37,12 @@ ALL_PRESETS = list_scenarios()
 
 
 def replay(dataset, fault_plan=None, *, guarded=True):
-    loop = OnlineRecommendationLoop(
+    core = ServingCore(
         SCENARIO_PREDICTOR,
         SCENARIO_ONLINE,
         ResilienceConfig() if guarded else None,
     )
-    return loop.run(dataset, fault_plan)
+    return replay_stream(core, dataset, fault_plan)
 
 
 @pytest.fixture(scope="module")
