@@ -1,13 +1,18 @@
-"""Concurrent serving-stack load: latency percentiles under bursty traffic.
+"""Concurrent serving-stack load: queueing behaviour under bursty traffic.
 
 Warms one :class:`ServingCore` on the benchmark forum, then drives
 seeded bursty traffic through the async
-:class:`RecommendationService` under the virtual clock:
+:class:`RecommendationService` under the virtual clock.  Every latency
+on the virtual axis is a :class:`CostModel` charge, a deterministic
+queueing model rather than a measurement, so the records name those
+blocks ``simulated_*``; ``*_wall`` blocks and ``requests_per_wall_s``
+are measured.  ``benchmarks/e2e`` measures serving latency in
+wall-clock time.
 
 * ``load`` — 1,000 concurrent askers (plus interleaved event
-  submissions) over a 60-virtual-second schedule; records p50/p95/p99
-  query latency on the virtual axis and sustained requests/sec on the
-  wall axis.
+  submissions) over a 60-virtual-second schedule; records simulated
+  p50/p95/p99 query latency and sustained requests/sec on the wall
+  axis.
 * ``bit_identity`` — the serving-stack contract: micro-batched routing
   must reproduce one-at-a-time routing response for response, and a
   repeated run must reproduce itself everywhere but wall-clock.
@@ -51,8 +56,8 @@ SEED = 17
 N_ASKERS = 1000
 N_EVENTS = 200
 DURATION_S = 60.0
-# Virtual-axis ceiling for the fast-lane smoke: with the default cost
-# model a 1k-asker burst must drain without queueing past this.
+# Simulated-latency ceiling for the fast-lane smoke: with the default
+# cost model a 1k-asker burst must drain without queueing past this.
 P99_CEILING_MS = 5000.0
 
 
@@ -111,8 +116,12 @@ def test_serving_load(warm_core, dataset):
             "n_events": N_EVENTS,
             "duration_virtual_s": DURATION_S,
             "traffic_seed": SEED,
-            "query_latency": latency_block(metrics, "query_latency"),
-            "event_latency": latency_block(metrics, "event_latency"),
+            "simulated_query_latency": latency_block(
+                metrics, "query_latency"
+            ),
+            "simulated_event_latency": latency_block(
+                metrics, "event_latency"
+            ),
             "wall_s": round(report.wall_s, 4),
             "requests_per_wall_s": round(report.requests_per_wall_s, 2),
             "query_statuses": dict(report.query_statuses),
@@ -210,7 +219,9 @@ def test_serving_overload_sheds(warm_core, dataset):
             "max_pending_queries": 32,
             "rejected": rejected,
             "served": served,
-            "query_latency": latency_block(report.metrics, "query_latency"),
+            "simulated_query_latency": latency_block(
+                report.metrics, "query_latency"
+            ),
         },
         seed=SEED + 2,
     )
@@ -276,16 +287,16 @@ def test_serving_phase_breakdown(warm_core, dataset):
         "phase_breakdown",
         {
             "n_queries": len(traffic),
-            "admission_wait_virtual": {
+            "simulated_admission_wait": {
                 "count": admission.count,
                 "p50_ms": round(admission.percentile(50) * 1e3, 4),
                 "p99_ms": round(admission.percentile(99) * 1e3, 4),
                 "mean_ms": round(admission.mean * 1e3, 4),
             },
-            "batch_wait_virtual": latency_block(metrics, "batch_wait"),
+            "simulated_batch_wait": latency_block(metrics, "batch_wait"),
             "predict_wall": stage_block(rank),
             "lp_route_wall": stage_block(route),
-            "query_latency_virtual": latency_block(
+            "simulated_query_latency": latency_block(
                 metrics, "query_latency"
             ),
         },
@@ -318,8 +329,12 @@ def test_serving_load_full(warm_core, dataset):
             "n_askers": 5000,
             "n_events": 500,
             "duration_virtual_s": 120.0,
-            "query_latency": latency_block(metrics, "query_latency"),
-            "event_latency": latency_block(metrics, "event_latency"),
+            "simulated_query_latency": latency_block(
+                metrics, "query_latency"
+            ),
+            "simulated_event_latency": latency_block(
+                metrics, "event_latency"
+            ),
             "wall_s": round(report.wall_s, 4),
             "requests_per_wall_s": round(report.requests_per_wall_s, 2),
             "rejected": report.n_rejected,

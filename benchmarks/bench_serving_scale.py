@@ -1,13 +1,15 @@
-"""Single-process serving at forum scale: throughput, latency, RSS.
+"""Single-process serving at forum scale: ingest, throughput, RSS.
 
 One measurement, recorded in ``BENCH_serving_scale.json``:
 
 * **Serving at 100k users** (``@slow``) — streams a 100k-user forum
   into columnar stores, freezes it into a servable state without ever
   materializing post objects, grafts fitted model heads on top, and
-  serves seeded traffic through the async front-end: wall-clock
-  throughput, p50/p95/p99 latency on the virtual clock (queueing and
-  batching waits only, no compute), and the peak-RSS high-water mark.
+  serves seeded traffic through the async front-end: ingest seconds,
+  wall-clock throughput and the peak-RSS high-water mark.  No latency
+  is recorded: the run charges no simulated cost (``cost=None``), so
+  every query's virtual latency is just the batcher's ``max_wait_s``.
+  ``benchmarks/e2e`` measures serving latency in wall-clock time.
 """
 
 import os
@@ -113,7 +115,6 @@ def test_serving_100k_users(dataset):
         ),
     )
     load = run_load(service, traffic, settle_s=1.0)
-    latency = load.metrics["query_latency"]
     ok = load.query_statuses.get("ok", 0)
     assert ok > 0
     cores = os.cpu_count() or 1
@@ -130,11 +131,6 @@ def test_serving_100k_users(dataset):
         "cpu_count": cores,
         "wall_s": round(load.wall_s, 3),
         "requests_per_wall_s": round(load.requests_per_wall_s, 2),
-        "virtual_latency_ms": {
-            "p50": latency["p50_ms"],
-            "p95": latency["p95_ms"],
-            "p99": latency["p99_ms"],
-        },
         "ok": ok,
         "peak_rss_bytes": perf.peak_rss_bytes(),
     }

@@ -160,12 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="admission bound on the query queue")
     serve.add_argument("--max-pending-events", type=int, default=4096,
                        help="admission bound on the event queue")
-    serve.add_argument("--cache-pairs", type=int, default=0,
-                       help="capacity of the refit-epoch prediction cache "
-                       "in (user, thread) pairs; 0 disables")
-    serve.add_argument("--repeat-fraction", type=float, default=0.0,
-                       help="share of queries re-asking an earlier "
-                       "question (exercises the prediction cache)")
 
     scale = sub.add_parser(
         "scale",
@@ -431,10 +425,7 @@ def _cmd_serve(args) -> int:
     from .forum.traffic import TrafficConfig, generate_traffic
 
     dataset = load_dataset(args.input)
-    core = ServingCore(
-        _config_from_args(args),
-        OnlineConfig(feature_cache_pairs=args.cache_pairs),
-    )
+    core = ServingCore(_config_from_args(args))
     service = RecommendationService(
         core,
         ServiceConfig(
@@ -460,7 +451,6 @@ def _cmd_serve(args) -> int:
             n_askers=args.askers,
             n_events=args.events,
             duration_s=args.duration,
-            repeat_fraction=args.repeat_fraction,
             seed=args.seed,
         ),
     )
@@ -486,13 +476,6 @@ def _cmd_serve(args) -> int:
         print(
             f"query latency (virtual): p50 {latency['p50_ms']:.2f}ms  "
             f"p95 {latency['p95_ms']:.2f}ms  p99 {latency['p99_ms']:.2f}ms"
-        )
-    cache = metrics["cache"]
-    if cache["max_pairs"]:
-        print(
-            f"prediction cache: {cache['hits']} hits / "
-            f"{cache['misses']} misses, {cache['evictions']} evictions "
-            f"({cache['size']}/{cache['max_pairs']} pairs held)"
         )
     statuses = ", ".join(
         f"{status}={count}"

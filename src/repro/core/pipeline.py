@@ -329,8 +329,8 @@ class ForumPredictor:
         """Model heads over prefeaturized rows (same keys as batch).
 
         Entry point for callers that already hold the feature matrix —
-        the serving core stacks the cache-missed rows of a query batch
-        and runs the heads once here.
+        the serving core stacks the rows of every query in a refit
+        segment and runs the heads once here.
 
         With ``epsilon`` set, only the answer head runs on every row;
         the vote and timing heads run on the eligible rows

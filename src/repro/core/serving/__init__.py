@@ -24,7 +24,6 @@ layers a real service needs:
 """
 
 from .batcher import BatchPolicy, MicroBatcher
-from .cache import PredictionCache
 from .clock import VirtualClock
 from .harness import LoadReport, run_load
 from .ingest import AdmissionConfig, AdmissionError, IngestGate
@@ -45,7 +44,6 @@ __all__ = [
     "IngestGate",
     "LoadReport",
     "MicroBatcher",
-    "PredictionCache",
     "RecommendationService",
     "RouteResponse",
     "ServiceConfig",

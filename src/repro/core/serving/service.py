@@ -47,7 +47,6 @@ from ..retrieval import CandidateRetriever, RetrievalConfig
 from ..routing import QuestionRouter, UserLoadTracker
 from ..state import ForumState
 from .batcher import BatchPolicy, MicroBatcher
-from .cache import PredictionCache
 from .ingest import AdmissionConfig, IngestGate
 
 __all__ = [
@@ -78,21 +77,12 @@ class OnlineConfig:
     tradeoff: float = 0.2
     default_capacity: float = 5.0
     top_k: int = 5
-    # Worker processes for the three per-task model fits inside each
-    # refit; None defers to REPRO_N_JOBS (default serial).
-    n_jobs: int | None = None
     # Two-stage candidate retrieval for the routing/ranking hot path;
     # None keeps the dense score-every-candidate behaviour.
     retrieval: RetrievalConfig | None = None
-    # Maintain an incremental per-user answer-load counter and enforce
-    # it as remaining capacity in every LP (previously the online loop
-    # routed without load constraints).
-    track_load: bool = True
+    # Window of the per-user answer-load counter that every LP enforces
+    # as remaining capacity.
     load_window_hours: float = 24.0
-    # Refit-epoch-keyed (user, thread) prediction cache: repeat queries
-    # against the same epoch skip featurization and the model heads.
-    # 0 disables; entries are three floats each.
-    feature_cache_pairs: int = 0
 
     def __post_init__(self):
         if self.refit_interval_hours <= 0 or self.window_hours <= 0:
@@ -103,8 +93,6 @@ class OnlineConfig:
             raise ValueError("top_k must be >= 1")
         if self.load_window_hours <= 0:
             raise ValueError("load_window_hours must be positive")
-        if self.feature_cache_pairs < 0:
-            raise ValueError("feature_cache_pairs must be non-negative")
 
 
 @dataclass
@@ -273,10 +261,9 @@ class ServingCore:
         # The refit entry point recovery wraps; tests may swap it to
         # inject refit failures.
         self.refit_hook = self.refit
-        # The epoch-keyed prediction cache, cleared on every bind:
-        # static rows are immutable only within an epoch.
+        # Counts router binds: every query until the next bind is scored
+        # against the frozen state of the current epoch.
         self.refit_epoch = 0
-        self._cache = PredictionCache(self.online_config.feature_cache_pairs)
 
     # -- lifecycle -----------------------------------------------------------
 
@@ -349,14 +336,14 @@ class ServingCore:
             with perf.timer("online.refit"):
                 predictor.fit_topics(window)
                 self._state = predictor.build_state(window)
-                predictor.refit_from_state(self._state, n_jobs=cfg.n_jobs)
+                predictor.refit_from_state(self._state)
             candidates = self._state.answerers
         else:
             self._state.evict(start)
             if not self._feasible(len(self._state), self._state.num_answers):
                 return False
             with perf.timer("online.refit"):
-                predictor.refit_from_state(self._state, n_jobs=cfg.n_jobs)
+                predictor.refit_from_state(self._state)
             candidates = self._state.answerers
         self._bind_router(candidates)
         return True
@@ -369,11 +356,10 @@ class ServingCore:
             default_capacity=cfg.default_capacity,
             load_window_hours=cfg.load_window_hours,
             retriever=self._bind_retriever(),
-            load_tracker=self._load if cfg.track_load else None,
+            load_tracker=self._load,
         )
         self._candidates = np.unique(np.fromiter(candidates, dtype=np.int64))
         self.refit_epoch += 1
-        self._cache.clear()
 
     def _bind_retriever(self) -> CandidateRetriever | None:
         """Build or refresh the candidate indices after a refit.
@@ -503,7 +489,6 @@ class ServingCore:
         self, degradation: DegradationReport, exc: Exception
     ) -> None:
         """Restore the last-good window and retrain, keeping serving up."""
-        cfg = self.online_config
         if self._last_good is None or self._predictor is None:
             # Nothing fitted cleanly yet: flush the poisoned bootstrap
             # state and let a later grid point try again once the
@@ -524,7 +509,7 @@ class ServingCore:
             self._state = ForumState.from_dataset(
                 self._last_good, self._predictor.topics
             )
-            self._predictor.refit_from_state(self._state, n_jobs=cfg.n_jobs)
+            self._predictor.refit_from_state(self._state)
             self._bind_router(self._state.answerers)
         except Exception as inner:  # noqa: BLE001 — keep stale router
             degradation.add(
@@ -548,8 +533,7 @@ class ServingCore:
 
     def observe(self, thread: Thread) -> None:
         """Fold a routed thread into the live window (plain path)."""
-        if self.online_config.track_load:
-            self._load.observe_thread(thread)
+        self._load.observe_thread(thread)
         if self._state is not None:
             self._state.append(thread)
 
@@ -557,8 +541,7 @@ class ServingCore:
         self, thread: Thread, degradation: DegradationReport
     ) -> None:
         """Fold an admitted thread in, tolerating stale clocks."""
-        if self.online_config.track_load:
-            self._load.observe_thread(thread)
+        self._load.observe_thread(thread)
         if self._state is not None:
             if thread.created_at >= self._state.last_created:
                 self._state.append(thread)
@@ -605,59 +588,15 @@ class ServingCore:
             "ok",
         )
 
-    def _cached_predictions(
-        self, prepared: _PreparedQuery
-    ) -> dict[str, np.ndarray] | None:
-        """The query's full prediction set from cache, or ``None``.
-
-        All-or-nothing: a single missing (user, thread) pair sends the
-        whole query down the compute path, so a response is never
-        assembled from a mix of cached and fresh rows.
-        """
-        cache = self._cache
-        if cache.max_pairs <= 0:
-            return None
-        tid = prepared.thread.thread_id
-        triples = []
-        for user in prepared.rank_candidates.tolist():
-            triple = cache.get(user, tid)
-            if triple is None:
-                return None
-            triples.append(triple)
-        arr = np.asarray(triples)
-        return {
-            "answer": arr[:, 0],
-            "votes": arr[:, 1],
-            "response_time": arr[:, 2],
-        }
-
-    def _cache_store(
-        self, prepared: _PreparedQuery, predictions: dict[str, np.ndarray]
-    ) -> None:
-        if self._cache.max_pairs <= 0:
-            return
-        tid = prepared.thread.thread_id
-        answer = predictions["answer"]
-        votes = predictions["votes"]
-        response_time = predictions["response_time"]
-        for j, user in enumerate(prepared.rank_candidates.tolist()):
-            self._cache.put(
-                user,
-                tid,
-                float(answer[j]),
-                float(votes[j]),
-                float(response_time[j]),
-            )
-
     def predict_prepared(
         self, prepared_list: list[_PreparedQuery]
     ) -> list[dict[str, np.ndarray]]:
         """Model predictions for a refit segment of prepared queries.
 
         The single scoring path behind :meth:`route` and the fused
-        batch flush.  Cache-hit queries skip compute entirely; every
-        miss in the segment is featurized by one ``feature_matrix``
-        call and the model heads run once over the stacked rows.
+        batch flush: one ``feature_matrix`` call featurizes every query
+        of the segment, and the model heads run once over the stacked
+        rows.
 
         The answer head scores every row; the vote and timing heads
         score only rows with ``answer >= epsilon`` (the router's), and
@@ -670,40 +609,27 @@ class ServingCore:
         for bit.
         """
         predictor = self._router.predictor
-        results: list[dict[str, np.ndarray] | None] = [None] * len(
-            prepared_list
+        threads = [p.thread for p in prepared_list]
+        sizes = np.array([p.rank_candidates.size for p in prepared_list])
+        blocks = PairBlocks(
+            np.concatenate([p.rank_candidates for p in prepared_list]),
+            threads,
+            sizes,
         )
-        missed: list[int] = []
-        for i, prepared in enumerate(prepared_list):
-            cached = self._cached_predictions(prepared)
-            if cached is not None:
-                results[i] = cached
-            else:
-                missed.append(i)
-        if missed:
-            queries = [prepared_list[i] for i in missed]
-            threads = [p.thread for p in queries]
-            sizes = np.array([p.rank_candidates.size for p in queries])
-            blocks = PairBlocks(
-                np.concatenate([p.rank_candidates for p in queries]),
-                threads,
-                sizes,
+        horizons = np.repeat(predictor._horizons(threads), sizes)
+        with perf.timer("online.rank"):
+            x = predictor.extractor.feature_matrix(blocks)
+            predictions = predictor.predict_matrix(
+                x, horizons, epsilon=self._router.epsilon
             )
-            horizons = np.repeat(predictor._horizons(threads), sizes)
-            with perf.timer("online.rank"):
-                x = predictor.extractor.feature_matrix(blocks)
-                predictions = predictor.predict_matrix(
-                    x, horizons, epsilon=self._router.epsilon
-                )
-            start = 0
-            for i, size in zip(missed, sizes.tolist()):
-                sliced = {
-                    key: values[start : start + size]
-                    for key, values in predictions.items()
-                }
-                results[i] = sliced
-                self._cache_store(prepared_list[i], sliced)
-                start += size
+        results = []
+        start = 0
+        for size in sizes.tolist():
+            results.append({
+                key: values[start : start + size]
+                for key, values in predictions.items()
+            })
+            start += size
         return results
 
     def finish_query(
@@ -929,14 +855,16 @@ class ServingCore:
 
 @dataclass(frozen=True)
 class CostModel:
-    """Simulated service time charged per unit of work (seconds).
+    """A deterministic queueing model: fixed service time per unit of work.
 
     Under the virtual clock the engine's real compute takes zero
     simulated time, so queueing dynamics (admission, batching, latency
     percentiles) would degenerate without a cost model.  These charges
-    stand in for the real per-item work and make the whole simulation
-    deterministic: identical seeds produce identical queue depths,
-    rejections and percentiles on any machine.
+    (seconds) stand in for the real per-item work and make the whole
+    simulation deterministic: identical seeds produce identical queue
+    depths, rejections and percentiles on any machine.  The latencies it
+    yields are simulated, not measured; ``benchmarks/e2e`` measures the
+    same service in wall-clock time.
     """
 
     event_s: float = 0.0005
@@ -1114,7 +1042,6 @@ class RecommendationService:
                 "refit_epoch": self.core.refit_epoch,
             },
             "degradation": self.degradation.summary(),
-            "cache": self.core._cache.stats(),
         }
         for key, name in (
             ("query_latency", "serving.query_latency"),

@@ -85,11 +85,6 @@ class TrafficConfig:
     # 60 s run well inside one refit interval.
     hours_per_second: float = 0.01
     max_answers_per_event: int = 3
-    # Share of queries that re-ask an earlier query's exact thread
-    # (same id, same asker) — repeat traffic for exercising the
-    # serving-side prediction cache.  0 keeps every query unique and
-    # leaves the seeded schedule bit-identical to older versions.
-    repeat_fraction: float = 0.0
     seed: int = 0
     # Scenario label for the RNG stream.  Empty (the default) keeps the
     # legacy ``default_rng(seed)`` stream bit-identical to older
@@ -111,8 +106,6 @@ class TrafficConfig:
             raise ValueError("burst_fraction must be in [0, 1]")
         if self.max_answers_per_event < 1:
             raise ValueError("max_answers_per_event must be >= 1")
-        if not 0.0 <= self.repeat_fraction <= 1.0:
-            raise ValueError("repeat_fraction must be in [0, 1]")
 
 
 @dataclass(frozen=True)
@@ -185,7 +178,6 @@ def generate_traffic(
 
     query_askers = next_user + rng.permutation(cfg.n_askers)
     requests: list[TrafficRequest] = []
-    issued_queries: list[Thread] = []
     last_created = t0_hours
     q_idx = 0
     for arrival, kind in zip(arrivals, kinds):
@@ -195,22 +187,6 @@ def generate_traffic(
         thread_id = next_thread
         next_thread += 1
         if kind == "query":
-            # Repeat traffic: re-ask an earlier query verbatim (same
-            # thread, so serving sees identical (user, thread) pairs).
-            # Gated draws keep repeat_fraction=0 schedules bit-identical
-            # to versions without the knob.
-            if (
-                cfg.repeat_fraction > 0
-                and issued_queries
-                and rng.random() < cfg.repeat_fraction
-            ):
-                repeated = issued_queries[
-                    rng.integers(len(issued_queries))
-                ]
-                requests.append(
-                    TrafficRequest("query", float(arrival), repeated)
-                )
-                continue
             author = int(query_askers[q_idx])
             q_idx += 1
             body = question_bodies[rng.integers(len(question_bodies))]
@@ -224,10 +200,8 @@ def generate_traffic(
                 is_question=True,
             )
             next_post += 1
-            thread = Thread(question)
-            issued_queries.append(thread)
             requests.append(
-                TrafficRequest("query", float(arrival), thread)
+                TrafficRequest("query", float(arrival), Thread(question))
             )
             continue
         author = int(askers[rng.integers(len(askers))])

@@ -5,14 +5,13 @@ contract: the async service drives the exact engine the chronological
 replay drives, so a zero-concurrency replay through the service
 reproduces :func:`repro.core.online.replay` bit for bit, and a batched run
 reproduces a sequential one response for response, bit for bit, from a
-120-user forum up to several hundred candidates per question.  The
-refit-epoch prediction cache changes latency, never answers.
+120-user forum up to several hundred candidates per question.
 """
 
 import asyncio
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -27,7 +26,6 @@ from repro.core.serving import (
     CostModel,
     IngestGate,
     MicroBatcher,
-    PredictionCache,
     RecommendationService,
     ServiceConfig,
     ServingCore,
@@ -587,7 +585,7 @@ class TestSegmentInference:
     def test_one_transform_per_segment(self, stream_dataset, transform_sizes):
         """One pass per segment; between them the refit settles the posts
         the state queued since its last settle, in one pass of its own."""
-        core = make_cache_core(stream_dataset)
+        core = make_warm_core(stream_dataset)
         questions = self.crossing_batch(core, stream_dataset, 840000)
         epoch = core.refit_epoch
         queued = core._state._pending_docs
@@ -734,6 +732,8 @@ class TestHealthAndMetrics:
             metrics["query_latency"]["p50_ms"]
             <= metrics["query_latency"]["p99_ms"]
         )
+        assert "batch_wait" in metrics
+        assert metrics["engine"]["refit_epoch"] == warm_core.refit_epoch
         assert report.requests_per_wall_s > 0
 
 
@@ -759,23 +759,11 @@ class TestLoadRunDeterminism:
             assert ra.latency_s == rb.latency_s
 
 
-def make_cache_core(dataset, cache_pairs=0) -> ServingCore:
-    """A freshly warmed core with a prediction cache of ``cache_pairs``."""
-    core = ServingCore(
-        FAST_PREDICTOR, replace(FAST_ONLINE, feature_cache_pairs=cache_pairs)
-    )
+def make_warm_core(dataset) -> ServingCore:
+    """A freshly warmed core, owned by the calling test."""
+    core = ServingCore(FAST_PREDICTOR, FAST_ONLINE)
     RecommendationService(core).warm(dataset)
     return core
-
-
-def run_batched(core, requests):
-    service = RecommendationService(
-        core,
-        ServiceConfig(
-            batch=BatchPolicy(max_batch=8, max_wait_s=0.05), cost=None
-        ),
-    )
-    return service, run_load(service, requests, settle_s=1.0)
 
 
 def assert_responses_identical(expected, got):
@@ -786,136 +774,3 @@ def assert_responses_identical(expected, got):
         assert a.ranked == b.ranked
         assert a.routed == b.routed
         assert a.score == b.score
-
-
-class TestPredictionCacheServing:
-    """The cache is a latency device: hits replay stored predictions."""
-
-    @pytest.fixture(scope="class")
-    def repeat_traffic(self, stream_dataset):
-        requests = generate_traffic(
-            stream_dataset,
-            TrafficConfig(
-                n_askers=40, n_events=0, duration_s=10.0,
-                repeat_fraction=0.6, seed=17,
-            ),
-        )
-        threads = {
-            id(r.thread) for r in requests if r.kind == "query"
-        }
-        assert len(threads) < 40  # schedule really contains repeats
-        return requests
-
-    def test_cached_equals_uncached(self, stream_dataset, repeat_traffic):
-        cold = make_cache_core(stream_dataset)
-        _, expected = run_batched(cold, repeat_traffic)
-        warm = make_cache_core(stream_dataset, 100_000)
-        service, got = run_batched(warm, repeat_traffic)
-        assert_responses_identical(expected.responses, got.responses)
-        stats = service.metrics()["cache"]
-        assert stats["hits"] > 0
-        assert stats["misses"] > 0
-        assert stats["size"] > 0
-
-    def test_repeated_query_routes_as_uncached(self, stream_dataset):
-        now = stream_dataset.threads[-1].created_at + 1.0
-        question = make_question(840000, 0, now)
-        expected = make_cache_core(stream_dataset).route(
-            question, now, OnlineReport()
-        )
-        core = make_cache_core(stream_dataset, 100_000)
-        first = core.route(question, now, OnlineReport())
-        hits = core._cache.hits
-        repeat = core.route(question, now, OnlineReport())
-        assert core._cache.hits > hits  # the repeat was served from cache
-        assert expected.ok
-        assert_responses_identical([expected, expected], [first, repeat])
-
-    def test_cache_holds_nan_only_where_unscored(self, stream_dataset):
-        core = make_cache_core(stream_dataset, 100_000)
-        now = stream_dataset.threads[-1].created_at + 1.0
-        core.route(make_question(840001, 0, now), now, OnlineReport())
-        epsilon = core._router.epsilon
-        triples = list(core._cache._store.values())
-        assert any(a >= epsilon for a, _, _ in triples)
-        assert any(a < epsilon for a, _, _ in triples)
-        for answer, votes, response_time in triples:
-            assert math.isfinite(answer)
-            scored = answer >= epsilon
-            assert math.isfinite(votes) == scored
-            assert math.isfinite(response_time) == scored
-
-    def test_refit_clears_cache(self, stream_dataset):
-        core = make_cache_core(stream_dataset, 100_000)
-        report = OnlineReport()
-        t0 = core.next_refit - 1.0
-        core.process_query_batch(
-            [make_question(810000 + i, 0, t0) for i in range(3)],
-            report,
-            DegradationReport(),
-            ResilienceConfig(),
-        )
-        size_before = len(core._cache)
-        assert size_before > 0
-        epoch = core.refit_epoch
-        core.process_query_batch(
-            [make_question(820000, 1, core.next_refit + 0.5)],
-            report,
-            DegradationReport(),
-            ResilienceConfig(),
-        )
-        if core.refit_epoch > epoch:  # refit fired and rebound
-            # The bind cleared the cache; only the single post-refit
-            # query's rows can be resident now.
-            assert 0 < len(core._cache) < size_before
-
-
-class TestPredictionCacheUnit:
-    def test_lru_eviction(self):
-        cache = PredictionCache(2)
-        cache.put(1, 10, 0.1, 1.0, 5.0)
-        cache.put(2, 10, 0.2, 2.0, 6.0)
-        assert cache.get(1, 10) == (0.1, 1.0, 5.0)  # 1 becomes MRU
-        cache.put(3, 10, 0.3, 3.0, 7.0)  # evicts 2, the LRU
-        assert cache.get(2, 10) is None
-        assert cache.get(1, 10) is not None
-        assert cache.stats()["evictions"] == 1
-
-    def test_disabled_cache_stores_nothing(self):
-        cache = PredictionCache(0)
-        cache.put(1, 10, 0.1, 1.0, 5.0)
-        assert cache.get(1, 10) is None
-        assert len(cache) == 0
-
-    def test_clear_keeps_counters(self):
-        cache = PredictionCache(8)
-        cache.put(1, 10, 0.1, 1.0, 5.0)
-        cache.get(1, 10)
-        cache.clear()
-        assert len(cache) == 0
-        assert cache.stats()["hits"] == 1
-
-
-class TestCacheMetrics:
-    @pytest.fixture(scope="class")
-    def traffic(self, stream_dataset):
-        return generate_traffic(
-            stream_dataset,
-            TrafficConfig(n_askers=30, n_events=8, duration_s=10.0, seed=11),
-        )
-
-    def test_metrics_expose_cache(self, stream_dataset, traffic):
-        core = make_cache_core(stream_dataset, 1000)
-        service, _ = run_batched(core, traffic)
-        metrics = service.metrics()
-        assert set(metrics["cache"]) == {
-            "size", "max_pairs", "hits", "misses", "evictions"
-        }
-        assert metrics["cache"]["max_pairs"] == 1000
-        assert "batch_wait" in metrics
-        assert metrics["engine"]["refit_epoch"] == core.refit_epoch
-
-    def test_cache_disabled_by_default(self, stream_dataset, traffic):
-        core = make_cache_core(stream_dataset)
-        service, _ = run_batched(core, traffic)
-        assert service.metrics()["cache"]["max_pairs"] == 0

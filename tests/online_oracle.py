@@ -38,8 +38,6 @@ class RebuildCore(ServingCore):
         if not self._feasible(len(window), window.num_answers):
             return False
         with perf.timer("online.refit"):
-            self._predictor.fit(
-                window, warm_start=self.warm_start, n_jobs=cfg.n_jobs
-            )
+            self._predictor.fit(window, warm_start=self.warm_start)
         self._bind_router(window.answerers)
         return True
