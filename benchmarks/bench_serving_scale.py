@@ -4,9 +4,10 @@ One measurement, recorded in ``BENCH_serving_scale.json``:
 
 * **Serving at 100k users** (``@slow``) — streams a 100k-user forum
   into columnar stores, freezes it into a servable state without ever
-  materializing post objects, grafts fitted model heads on top, and
-  serves seeded traffic through the async front-end: ingest seconds,
-  wall-clock throughput and the peak-RSS high-water mark.  No latency
+  materializing post objects (the builder ``ForumState.freeze`` uses),
+  grafts fitted model heads on top, and serves seeded traffic through
+  the async front-end: ingest and freeze seconds, wall-clock throughput
+  and the peak-RSS high-water mark.  No latency
   is recorded: the run charges no simulated cost (``cost=None``), so
   every query's virtual latency is just the batcher's ``max_wait_s``.
   ``benchmarks/e2e`` measures serving latency in wall-clock time.
@@ -31,7 +32,7 @@ from repro.core.serving import (
     ServingCore,
     run_load,
 )
-from repro.core.state import frozen_from_columns
+from repro.core.window import WindowColumns, build_frozen
 from repro.forum import ForumConfig, ForumDataset
 from repro.forum.streaming import ingest_stream
 from repro.forum.traffic import TrafficConfig, generate_traffic
@@ -88,7 +89,9 @@ def test_serving_100k_users(dataset):
         )
         ingest_s = time.perf_counter() - start
     assert report.n_users >= 100_000
-    frozen = frozen_from_columns(log, questions)
+    start = time.perf_counter()
+    frozen = build_frozen(WindowColumns.from_stores(log, questions))
+    freeze_s = time.perf_counter() - start
     predictor = _graft_predictor(frozen, dataset)
 
     # The on-call roster: the streamed forum's most active answerers.
@@ -126,6 +129,7 @@ def test_serving_100k_users(dataset):
         },
         "n_answers": report.n_answers,
         "ingest_seconds": round(ingest_s, 2),
+        "freeze_seconds": round(freeze_s, 2),
         "roster_size": len(roster),
         "n_queries": sum(1 for r in traffic if r.kind == "query"),
         "cpu_count": cores,

@@ -15,10 +15,8 @@ data — one row per answer event — as contiguous numpy columns instead:
   votes, ``float64`` times, per-row question/answer topic mixtures.
   The scale path (streaming generator and ingest) uses the same log
   with ``float32`` topics.
-* The per-user freeze artifacts (:class:`UserHistory`,
-  :class:`UserSummary`, :class:`BatchTables`) and the functions that
-  build them (:func:`user_summary`, :func:`assemble_tables`) live here,
-  next to the log they read.
+* A freeze reads the log's live rows as flat columns and compiles
+  them in :mod:`repro.core.window`; nothing per user is kept here.
 
 Dtype policy is :mod:`repro.core.dtypes`: ids are ``int32`` (guarded by
 ``ensure_ids``), votes are ``float32`` (small integers — exact), and
@@ -28,8 +26,6 @@ the feature engine reads is bit-identical to the old object path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .dtypes import ID_DTYPE, TIME_DTYPE, VALUE_DTYPE, ensure_ids
@@ -37,11 +33,6 @@ from .dtypes import ID_DTYPE, TIME_DTYPE, VALUE_DTYPE, ensure_ids
 __all__ = [
     "EventStore",
     "AnswerLog",
-    "UserHistory",
-    "UserSummary",
-    "BatchTables",
-    "user_summary",
-    "assemble_tables",
     "thread_activity",
 ]
 
@@ -328,8 +319,8 @@ class AnswerLog:
         """A new log holding only ``live_rows`` (ascending), same order.
 
         Eviction leaves dead rows behind; once they outnumber live ones
-        the state engine gathers the survivors into a fresh store and
-        remaps its row lists (row id = position in ``live_rows``).
+        the state engine gathers the survivors into a fresh store
+        (row id = position in ``live_rows``).
         """
         fresh = AnswerLog(
             self.n_topics,
@@ -344,169 +335,6 @@ class AnswerLog:
                 }
             )
         return fresh
-
-
-# -- per-user freeze artifacts ---------------------------------------------
-
-
-@dataclass
-class UserHistory:
-    """A user's answering history inside the feature window."""
-
-    answered_thread_ids: np.ndarray  # (n_i,)
-    answered_question_topics: np.ndarray  # (n_i, K)
-    answer_votes: np.ndarray  # (n_i,)
-    response_times: np.ndarray  # (n_i,)
-    answer_topic_vectors: np.ndarray  # (n_i, K) topics of the answers
-
-
-@dataclass
-class UserSummary:
-    """Cached per-user freeze artifacts; valid until the rows change."""
-
-    history: UserHistory
-    votes_sum: float
-    median_rt: float
-    d_u: np.ndarray
-    topic_sum: np.ndarray
-    times_sorted: np.ndarray
-    time_rank: np.ndarray
-    tid_rows: list[tuple[int, int]] | None  # (tid, local row); None if dup
-
-
-@dataclass
-class BatchTables:
-    """Flat per-user aggregate tables backing the batch feature engine.
-
-    Histories are concatenated row-wise (``seg_start`` delimits each
-    user's block) so whole pair batches reduce with one segmented sum
-    instead of per-user Python.  ``times_sorted``/``time_rank`` hold
-    each user's response times sorted within its block, which turns the
-    leave-one-row-out median into index arithmetic.  Users listed in
-    ``dup_users`` answered some thread more than once (pre-preprocessing
-    data) and take the masked fallback path instead of ``row_of``.
-    """
-
-    user_index: dict[int, int]  # user id -> row in the per-user tables
-    n: np.ndarray  # (U,) history lengths
-    votes_sum: np.ndarray  # (U,)
-    median_rt: np.ndarray  # (U,)
-    d_u: np.ndarray  # (U, K) answer_topic_vectors.mean(axis=0)
-    topic_sum: np.ndarray  # (U, K) answer_topic_vectors.sum(axis=0)
-    seg_start: np.ndarray  # (U,) offsets into the concatenated rows
-    hist_topics: np.ndarray  # (N, K) answered_question_topics, concatenated
-    hist_votes: np.ndarray  # (N,) float32 — exact small integers
-    hist_answer_topics: np.ndarray  # (N, K)
-    times_sorted: np.ndarray  # (N,) response times, sorted per user block
-    time_rank: np.ndarray  # (N,) history row -> rank within its block
-    row_of: dict[tuple[int, int], int]  # (user, tid) -> concatenated row
-    dup_users: set[int]
-
-
-def user_summary(log: AnswerLog, rows) -> UserSummary:
-    """One user's freeze artifacts gathered from its log rows.
-
-    ``rows`` are the user's row ids in arrival order — the same order
-    the old per-object path kept its ``_AnswerRow`` list in, so every
-    derived array is element-for-element identical.
-    """
-    rows = np.asarray(rows, dtype=np.int64)
-    n = rows.size
-    history = UserHistory(
-        answered_thread_ids=log.gather("thread_id", rows),
-        answered_question_topics=np.asarray(
-            log.gather("q_topics", rows), dtype=np.float64
-        ).reshape(n, log.n_topics),
-        answer_votes=log.gather("votes", rows),
-        response_times=log.gather("response_time", rows),
-        answer_topic_vectors=np.asarray(
-            log.gather("a_topics", rows), dtype=np.float64
-        ).reshape(n, log.n_topics),
-    )
-    order = np.argsort(history.response_times, kind="stable")
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
-    tids = history.answered_thread_ids.tolist()
-    tid_rows: list[tuple[int, int]] | None
-    if len(set(tids)) != len(tids):
-        tid_rows = None
-    else:
-        tid_rows = list(zip(tids, range(n)))
-    return UserSummary(
-        history=history,
-        votes_sum=float(history.answer_votes.sum()),
-        median_rt=float(np.median(history.response_times)),
-        d_u=history.answer_topic_vectors.mean(axis=0),
-        topic_sum=history.answer_topic_vectors.sum(axis=0),
-        times_sorted=history.response_times[order],
-        time_rank=rank,
-        tid_rows=tid_rows,
-    )
-
-
-def assemble_tables(
-    summaries: dict[int, UserSummary], users: list[int], k: int
-) -> BatchTables:
-    """Flat batch tables over ``users`` (must be sorted ascending).
-
-    The canonical (sorted) user layout makes the tables identical
-    however the window was reached.
-    """
-    u_count = len(users)
-    counts = np.array(
-        [summaries[u].history.response_times.size for u in users],
-        dtype=np.int64,
-    )
-    total = int(counts.sum())
-    seg_start = np.zeros(u_count, dtype=np.int64)
-    if u_count > 1:
-        np.cumsum(counts[:-1], out=seg_start[1:])
-    votes_sum = np.empty(u_count)
-    median_rt = np.empty(u_count)
-    d_u = np.empty((u_count, k))
-    topic_sum = np.empty((u_count, k))
-    hist_topics = np.empty((total, k))
-    hist_votes = np.empty(total, dtype=VALUE_DTYPE)
-    hist_answer_topics = np.empty((total, k))
-    times_sorted = np.empty(total)
-    time_rank = np.empty(total, dtype=np.int64)
-    row_of: dict[tuple[int, int], int] = {}
-    dup_users: set[int] = set()
-    for ui, user in enumerate(users):
-        s = summaries[user]
-        lo = int(seg_start[ui])
-        hi = lo + int(counts[ui])
-        votes_sum[ui] = s.votes_sum
-        median_rt[ui] = s.median_rt
-        d_u[ui] = s.d_u
-        topic_sum[ui] = s.topic_sum
-        h = s.history
-        hist_topics[lo:hi] = h.answered_question_topics
-        hist_votes[lo:hi] = h.answer_votes
-        hist_answer_topics[lo:hi] = h.answer_topic_vectors
-        times_sorted[lo:hi] = s.times_sorted
-        time_rank[lo:hi] = s.time_rank
-        if s.tid_rows is None:
-            dup_users.add(user)
-        else:
-            for tid, row in s.tid_rows:
-                row_of[(user, tid)] = lo + row
-    return BatchTables(
-        user_index={u: ui for ui, u in enumerate(users)},
-        n=counts,
-        votes_sum=votes_sum,
-        median_rt=median_rt,
-        d_u=d_u,
-        topic_sum=topic_sum,
-        seg_start=seg_start,
-        hist_topics=hist_topics,
-        hist_votes=hist_votes,
-        hist_answer_topics=hist_answer_topics,
-        times_sorted=times_sorted,
-        time_rank=time_rank,
-        row_of=row_of,
-        dup_users=dup_users,
-    )
 
 
 def thread_activity(

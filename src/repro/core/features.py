@@ -2,22 +2,19 @@
 
 A :class:`FeatureExtractor` is built once over a *feature window* — the
 question set ``F(q)`` the paper computes features on — and then produces
-the vector ``x_uq`` for any (user, question) pair.  All window-wide
-precomputation (per-question info, per-user histories, discussed-topic
-aggregates, SLN graphs and centralities) lives in
-:class:`repro.core.state.ForumState`; the extractor binds one frozen
-snapshot of it.  Batch callers construct from a dataset (which builds a
+the vector ``x_uq`` for any (user, question) pair.  The window lives in
+:class:`repro.core.state.ForumState`, and its freeze compiles it once
+per refit epoch into gather tables (:class:`repro.core.window.FrozenState`):
+one *user row* per window user plus a sentinel row holding the
+no-evidence defaults for every user the window does not know, and one
+sorted *thread inverse* over (thread, user row) entries that carries
+the leakage guard's history rows, the discussed topics with that thread
+left out, and thread participation.  The extractor binds one such
+snapshot.  Batch callers construct from a dataset (which builds a
 throwaway state) or, on the streaming path, from a long-lived state via
-:meth:`FeatureExtractor.from_state` — the freeze then reuses every
-per-user block and centrality table that did not change since the last
-refit.
+:meth:`FeatureExtractor.from_state` — the freeze then reuses the
+centralities of unchanged graphs.
 
-Binding compiles the snapshot once per refit epoch into gather tables
-indexed by one *user row* per window user, plus a sentinel row holding
-the no-evidence defaults for every user the window does not know, and
-into one sorted *thread inverse* over (thread, user row) entries that
-carries the leakage guard's history rows, the discussed topics with
-that thread left out, and thread participation.
 :meth:`FeatureExtractor.feature_matrix` groups pairs into one block per
 question and fills every column with array gathers by user row and
 block.  The one lazily grown structure is the *asker memo*: per asker,
@@ -48,32 +45,11 @@ from ..forum.dataset import ForumDataset
 from ..forum.models import Thread
 from ..graphs import UndirectedGraph, resource_allocation_indices
 from .featurespec import FeatureSpec
-from .state import (
-    ForumState,
-    FrozenState,
-    QuestionInfo,
-    question_info_from_thread,
-)
+from .state import ForumState, QuestionInfo, question_info_from_thread
 from .topic_context import TopicModelContext
+from .window import FrozenState, id_array, unique, user_rows
 
 __all__ = ["FeatureExtractor", "PairBlocks", "QuestionInfo"]
-
-# Pads the sorted user ids so a lookup past the last id lands on the
-# sentinel row; no real user id reaches it.
-_ID_PAD = np.iinfo(np.int64).max
-
-
-def _id_array(ids: Iterable, count: int) -> np.ndarray:
-    return np.fromiter(ids, dtype=np.int64, count=count)
-
-
-def _unique(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values.  Sort-based: ``np.unique`` takes a hash
-    path that is an order of magnitude slower at these sizes."""
-    values = np.sort(values)
-    if values.size:
-        values = values[np.r_[True, values[1:] != values[:-1]]]
-    return values
 
 
 def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -113,7 +89,7 @@ class PairBlocks:
                 threads.append(thread)
                 sizes.append(1)
         return cls(
-            _id_array(users, len(users)),
+            id_array(users, len(users)),
             threads,
             np.asarray(sizes, dtype=np.int64),
         )
@@ -179,189 +155,24 @@ class FeatureExtractor:
         self.spec = FeatureSpec(topics.n_topics)
         self._uniform = np.full(topics.n_topics, 1.0 / topics.n_topics)
         self.frozen = frozen
-        self._question_info = frozen.question_info
         self._extra_question_info: OrderedDict[int, QuestionInfo] = OrderedDict()
         self.qa_graph: UndirectedGraph = frozen.qa_graph
         self.dense_graph: UndirectedGraph = frozen.dense_graph
-        self._compile(frozen)
         # The asker memo (see _extend_memo): sorted keys
         # ``asker_row * n_rows + row`` with their (n, 3) social values,
         # and which asker rows it holds.
         self._memo_key = np.empty(0, dtype=np.int64)
         self._memo_values = np.empty((0, 3))
-        self._memoized = np.zeros(self._user_ids.size, dtype=bool)
+        self._memoized = np.zeros(frozen.user_ids.size, dtype=bool)
 
     @property
     def window_fingerprint(self) -> str:
         """Digest of the bound window; persisted to guard reloads."""
         return self.frozen.fingerprint
 
-    # -- compiled tables ------------------------------------------------------
-
-    def _compile(self, frozen: FrozenState) -> None:
-        """Gather tables over one row per window user, once per epoch.
-
-        The last row is the sentinel every unknown user maps to; it
-        holds the no-evidence defaults (zero activity, uniform topics,
-        the global median response time, zero centralities).
-        """
-        tbl = frozen.batch_tables
-        users_of = [
-            frozen.questions_asked,
-            tbl.user_index,
-            frozen.discussed_sum,
-            frozen.thread_sets,
-            frozen.qa_closeness,
-            frozen.qa_betweenness,
-            frozen.dense_closeness,
-            frozen.dense_betweenness,
-        ]
-        ids = _unique(
-            np.concatenate(
-                [_id_array(d, len(d)) for d in users_of]
-                + [
-                    _id_array(g.nodes(), len(g))
-                    for g in (frozen.qa_graph, frozen.dense_graph)
-                ]
-            )
-        )
-        n_rows = ids.size + 1
-        self._user_ids = np.append(ids, _ID_PAD)
-
-        # The row table, in FEATURE_ORDER layout: user features (i)-(v),
-        # d_u and the four centralities; the kernel writes every other
-        # column.  Rows without a history keep the defaults.
-        # ``user_index`` lists users in table order.
-        k = self.topics.n_topics
-        c_social = 12 + 2 * k
-        tbl_rows = self._rows(_id_array(tbl.user_index, len(tbl.user_index)))
-        self._tbl_row = np.full(n_rows, -1, dtype=np.int64)
-        self._tbl_row[tbl_rows] = np.arange(tbl_rows.size)
-        asked = frozen.questions_asked
-        self._asked = np.zeros(n_rows)
-        self._asked[self._rows(_id_array(asked, len(asked)))] = np.fromiter(
-            asked.values(), dtype=float, count=len(asked)
-        )
-        table = np.zeros((n_rows, self.spec.n_features))
-        table[:, 3] = frozen.global_median_response
-        table[tbl_rows, 0] = tbl.n.astype(float)
-        table[tbl_rows, 1] = tbl.n / (1.0 + self._asked[tbl_rows])
-        table[tbl_rows, 2] = tbl.votes_sum
-        table[tbl_rows, 3] = tbl.median_rt
-        table[:, 4 : 4 + k] = self._uniform
-        table[tbl_rows, 4 : 4 + k] = tbl.d_u
-        # Social features (xv)-(xx); the two RAI columns stay zero here
-        # and are filled from the asker memo.
-        for col, centrality in (
-            (0, frozen.qa_closeness),
-            (1, frozen.qa_betweenness),
-            (3, frozen.dense_closeness),
-            (4, frozen.dense_betweenness),
-        ):
-            table[
-                self._rows(_id_array(centrality, len(centrality))),
-                c_social + col,
-            ] = np.fromiter(
-                centrality.values(), dtype=float, count=len(centrality)
-            )
-        self._row_table = table
-        self._dup_rows = self._rows(
-            _id_array(tbl.dup_users, len(tbl.dup_users))
-        )
-
-        # Topics discussed, with no thread left out.
-        self._disc = np.tile(self._uniform, (n_rows, 1))
-        disc_users = list(frozen.discussed_sum)
-        disc_sum = np.array(list(frozen.discussed_sum.values())).reshape(
-            -1, self.topics.n_topics
-        )
-        disc_count = np.array(
-            [frozen.discussed_count[u] for u in disc_users], dtype=np.int64
-        )
-        has_posts = disc_count > 0
-        self._disc[self._rows(_id_array(disc_users, len(disc_users)))[
-            has_posts
-        ]] = disc_sum[has_posts] / disc_count[has_posts, None]
-        self._compile_threads(frozen, disc_users, disc_sum, disc_count)
-
-    def _compile_threads(
-        self,
-        frozen: FrozenState,
-        disc_users: list[int],
-        disc_sum: np.ndarray,
-        disc_count: np.ndarray,
-    ) -> None:
-        """The thread inverse: one entry per (thread, user row) with a
-        history row, a discussed-topic contribution or a place in the
-        thread's participant set, keyed ``tid * n_rows + row`` and
-        sorted.  An entry holds the history row for the thread (-1 if
-        none), the user's discussed topics with the thread left out, and
-        whether the user took part in the thread.  Thread ids are
-        non-negative and fit ``ID_DTYPE`` (int32), so keys fit int64."""
-        n_rows = self._user_ids.size
-        k = self.topics.n_topics
-        row_of = frozen.batch_tables.row_of
-        user_tid = np.array(list(row_of), dtype=np.int64).reshape(-1, 2)
-        hist_keys = user_tid[:, 1] * n_rows + self._rows(user_tid[:, 0])
-
-        per_user = [frozen.discussed_by_thread.get(u, {}) for u in disc_users]
-        owner = np.repeat(
-            np.arange(len(disc_users)), [len(p) for p in per_user]
-        )
-        tids = [tid for p in per_user for tid in p]
-        contribs = [c for p in per_user for c in p.values()]
-        disc_rows = self._rows(_id_array(disc_users, len(disc_users)))
-        disc_keys = _id_array(tids, len(tids)) * n_rows + disc_rows[owner]
-        remaining = disc_count[owner] - np.array(
-            [n for _, n in contribs], dtype=np.int64
-        )
-        left_out = np.tile(self._uniform, (owner.size, 1))
-        ok = remaining > 0
-        left_out[ok] = (
-            disc_sum[owner[ok]]
-            - np.array([v for v, _ in contribs]).reshape(-1, k)[ok]
-        ) / remaining[ok, None]
-
-        thread_sets = frozen.thread_sets
-        member_keys = _id_array(
-            (tid for s in thread_sets.values() for tid in s),
-            sum(len(s) for s in thread_sets.values()),
-        ) * n_rows + np.repeat(
-            self._rows(_id_array(thread_sets, len(thread_sets))),
-            [len(s) for s in thread_sets.values()],
-        )
-
-        keys = _unique(np.concatenate([hist_keys, disc_keys, member_keys]))
-        self._thread_key = keys
-        self._thread_hrow = np.full(keys.size, -1, dtype=np.int64)
-        self._thread_hrow[np.searchsorted(keys, hist_keys)] = np.fromiter(
-            row_of.values(), dtype=np.int64, count=len(row_of)
-        )
-        self._thread_disc = self._disc[keys % n_rows]
-        self._thread_disc[np.searchsorted(keys, disc_keys)] = left_out
-        self._thread_member = np.zeros(keys.size, dtype=bool)
-        self._thread_member[np.searchsorted(keys, member_keys)] = True
-        # Participation in CSR form both ways, for the asker memo:
-        # thread -> member rows and user row -> thread indices.
-        member_keys = np.sort(member_keys)
-        member_rows = member_keys % n_rows
-        first = np.diff(member_keys // n_rows, prepend=-1) != 0
-        self._thread_ptr = np.append(np.flatnonzero(first), member_keys.size)
-        self._thread_members = member_rows
-        thread_index = np.cumsum(first) - 1
-        self._user_ptr = np.zeros(n_rows + 1, dtype=np.int64)
-        np.cumsum(
-            np.bincount(member_rows, minlength=n_rows), out=self._user_ptr[1:]
-        )
-        self._user_threads = thread_index[
-            np.argsort(member_rows, kind="stable")
-        ]
-
     def _rows(self, users: np.ndarray) -> np.ndarray:
         """User row per user id; the sentinel row for unknown users."""
-        ids = self._user_ids
-        pos = np.searchsorted(ids, users)
-        return np.where(ids[pos] == users, pos, ids.size - 1)
+        return user_rows(self.frozen.user_ids, users)
 
     @staticmethod
     def _lookup(
@@ -386,23 +197,20 @@ class FeatureExtractor:
         two-hop neighbourhood.  The other RAI values start as NaN and
         are filled on first use by :meth:`_fill_rai`.
         """
-        n_rows = self._user_ids.size
-        lengths = np.diff(self._user_ptr)[askers]
-        threads = self._user_threads[
-            _segments(self._user_ptr[askers], lengths)
-        ]
+        f = self.frozen
+        n_rows = f.user_ids.size
+        lengths = np.diff(f.user_ptr)[askers]
+        threads = f.user_threads[_segments(f.user_ptr[askers], lengths)]
         owner = np.repeat(askers, lengths)
-        lengths = np.diff(self._thread_ptr)[threads]
-        members = self._thread_members[
-            _segments(self._thread_ptr[threads], lengths)
-        ]
+        lengths = np.diff(f.thread_ptr)[threads]
+        members = f.thread_members[_segments(f.thread_ptr[threads], lengths)]
         shared_keys, shared = np.unique(
             np.repeat(owner, lengths) * n_rows + members, return_counts=True
         )
         two_hop_users: list[int] = []
         owners: list[int] = []
         for a_row, asker in zip(
-            askers.tolist(), self._user_ids[askers].tolist()
+            askers.tolist(), f.user_ids[askers].tolist()
         ):
             two_hop: set[int] = set()
             for graph in (self.qa_graph, self.dense_graph):
@@ -413,7 +221,7 @@ class FeatureExtractor:
             owners.extend([a_row] * len(two_hop))
         two_hop_keys = np.asarray(owners, dtype=np.int64) * n_rows
         two_hop_keys += self._rows(np.asarray(two_hop_users, dtype=np.int64))
-        keys = _unique(np.concatenate([shared_keys, two_hop_keys]))
+        keys = unique(np.concatenate([shared_keys, two_hop_keys]))
         values = np.zeros((keys.size, 3))
         values[np.searchsorted(keys, shared_keys), 0] = shared
         values[np.searchsorted(keys, two_hop_keys), 1:] = np.nan
@@ -427,12 +235,12 @@ class FeatureExtractor:
         """Compute the memo's pending RAI values at ``entries`` from the
         same ``(user, asker)`` tuples a per-pair call would use, so each
         keeps its summation order."""
-        n_rows = self._user_ids.size
+        user_ids = self.frozen.user_ids
         keys = self._memo_key[entries]
         pairs = list(
             zip(
-                self._user_ids[keys % n_rows].tolist(),
-                self._user_ids[keys // n_rows].tolist(),
+                user_ids[keys % user_ids.size].tolist(),
+                user_ids[keys // user_ids.size].tolist(),
             )
         )
         self._memo_values[entries, 1] = resource_allocation_indices(
@@ -446,9 +254,16 @@ class FeatureExtractor:
 
     def _question_info_for(self, thread: Thread) -> QuestionInfo:
         tid = thread.thread_id
-        info = self._question_info.get(tid)
-        if info is not None:
-            return info
+        f = self.frozen
+        hit, pos = self._lookup(np.array([tid]), f.question_tids)
+        if hit.size:
+            votes, word_length, code_length = f.question_scalars[pos[0]]
+            return QuestionInfo(
+                votes=float(votes),
+                word_length=float(word_length),
+                code_length=float(code_length),
+                topics=f.question_topics[pos[0]],
+            )
         # Out-of-window thread: keep its info in a bounded LRU so a
         # streaming caller (the online simulator routes every incoming
         # question through here) cannot grow memory without bound.
@@ -488,8 +303,9 @@ class FeatureExtractor:
         block index."""
         k = self.topics.n_topics
         n = len(pairs)
-        n_rows = self._user_ids.size
-        tbl = self.frozen.batch_tables
+        f = self.frozen
+        n_rows = f.user_ids.size
+        tbl = f.batch_tables
 
         # Column offsets of the canonical FEATURE_ORDER layout (18 + 2K).
         c_du = slice(4, 4 + k)
@@ -515,42 +331,48 @@ class FeatureExtractor:
         block = np.repeat(np.asarray(run_block, dtype=np.int64), pairs.sizes)
         r = self._rows(pairs.users)
 
-        # Question features (vi)-(ix), resolved once per block; the
-        # questions with no info yet get their d(q) in one inference pass.
+        # Question features (vi)-(ix), resolved once per block: window
+        # questions from the question columns, the rest through the LRU;
+        # the questions with no info yet get their d(q) in one inference
+        # pass.
+        q_tid = id_array((t.thread_id for t in threads), len(threads))
+        q_scalars = np.empty((len(threads), 3))
+        q_topics = np.empty((len(threads), k))
+        hit, pos = self._lookup(q_tid, f.question_tids)
+        q_scalars[hit] = f.question_scalars[pos]
+        q_topics[hit] = f.question_topics[pos]
+        outside = np.ones(len(threads), dtype=bool)
+        outside[hit] = False
+        outside = np.flatnonzero(outside).tolist()
         unseen = [
-            t.question
-            for t in threads
-            if t.thread_id not in self._question_info
-            and t.thread_id not in self._extra_question_info
+            threads[b].question
+            for b in outside
+            if threads[b].thread_id not in self._extra_question_info
         ]
         if unseen:
             self.topics.post_topics_many(unseen)
-        infos = [self._question_info_for(t) for t in threads]
-        q_scalars = np.asarray(
-            [(i.votes, i.word_length, i.code_length) for i in infos]
-        )
-        q_topics = np.asarray([i.topics for i in infos]).reshape(
-            len(infos), k
-        )
-        q_tid = _id_array((t.thread_id for t in threads), len(threads))
+        for b in outside:
+            info = self._question_info_for(threads[b])
+            q_scalars[b] = (info.votes, info.word_length, info.code_length)
+            q_topics[b] = info.topics
         q_asker = self._rows(
-            _id_array((t.asker for t in threads), len(threads))
+            id_array((t.asker for t in threads), len(threads))
         )
         # User aggregates, d_u and centralities, gathered by row before
         # the leakage guard, which then adjusts them in place.
-        x = self._row_table.take(r, axis=0)
+        x = f.row_table.take(r, axis=0)
         d_u = x[:, c_du]
         x[:, c_question] = q_scalars[block]
         dq_all = q_topics[block]
         x[:, c_dq] = dq_all
-        t_user = self._disc[r]
+        t_user = f.disc[r]
         g = np.zeros(n)
         e = np.zeros(n)
 
         # g_uq / e_uq: one flat TV-similarity pass over every (pair,
         # history-row) combination; segment i covers pair kidx[i]'s
         # history block.
-        ui = self._tbl_row[r]
+        ui = f.tbl_row[r]
         kidx = np.flatnonzero(ui >= 0)
         pair_seg = np.zeros(n, dtype=np.int64)
         sims_flat = np.empty(0)
@@ -578,32 +400,29 @@ class FeatureExtractor:
         # Leakage guard, applied only to pairs with an entry in their
         # thread's inverse: discussed topics with the thread left out and
         # leave-one-row-out user aggregates.
-        hit, entry = self._lookup(q_tid[block] * n_rows + r, self._thread_key)
-        t_user[hit] = self._thread_disc[entry]
+        hit, entry = self._lookup(q_tid[block] * n_rows + r, f.thread_key)
+        t_user[hit] = f.thread_disc[entry]
         member = np.zeros(n, dtype=bool)
-        member[hit] = self._thread_member[entry]
-        hrow = self._thread_hrow[entry]
+        member[hit] = f.thread_member[entry]
+        hrow = f.thread_hrow[entry]
         has_row = hrow >= 0
         if has_row.any():
             self._apply_exclusions(
                 hit[has_row], hrow[has_row], r, pair_seg, sims_flat,
                 d_u, g, e, x,
             )
-        if self._dup_rows.size:
-            for i in np.flatnonzero(np.isin(r, self._dup_rows)).tolist():
+        if f.dup_rows.size:
+            for i in np.flatnonzero(np.isin(r, f.dup_rows)).tolist():
                 self._slow_exclusion(
-                    int(pairs.users[i]), int(q_tid[block[i]]),
-                    float(self._asked[r[i]]),
+                    int(ui[i]), int(q_tid[block[i]]), float(f.asked[r[i]]),
                     sims_flat[pair_seg[i] : pair_seg[i] + tbl.n[ui[i]]],
                     i, d_u, g, e, x,
                 )
-        t_asker = self._disc[q_asker]
+        t_asker = f.disc[q_asker]
         asker_member = np.zeros(len(threads), dtype=bool)
-        a_hit, a_entry = self._lookup(
-            q_tid * n_rows + q_asker, self._thread_key
-        )
-        t_asker[a_hit] = self._thread_disc[a_entry]
-        asker_member[a_hit] = self._thread_member[a_entry]
+        a_hit, a_entry = self._lookup(q_tid * n_rows + q_asker, f.thread_key)
+        t_asker[a_hit] = f.thread_disc[a_entry]
+        asker_member[a_hit] = f.thread_member[a_entry]
 
         x[:, c_suq] = 1.0 - 0.5 * np.abs(d_u - dq_all).sum(axis=1)
         x[:, c_guq] = g
@@ -612,12 +431,12 @@ class FeatureExtractor:
 
         # h_uv, centralities and resource-allocation indices, gathered
         # from the asker memo; askers new to it are added first.
-        askers = _unique(q_asker[q_asker < n_rows - 1])
+        askers = unique(q_asker[q_asker < n_rows - 1])
         missing = askers[~self._memoized[askers]]
         if missing.size:
             self._extend_memo(missing)
         hit, entry = self._lookup(q_asker[block] * n_rows + r, self._memo_key)
-        pending = _unique(entry[np.isnan(self._memo_values[entry, 1])])
+        pending = unique(entry[np.isnan(self._memo_values[entry, 1])])
         if pending.size:
             self._fill_rai(pending)
         values = self._memo_values[entry]
@@ -647,7 +466,7 @@ class FeatureExtractor:
         locates each pair's block in ``sims_flat``."""
         tbl = self.frozen.batch_tables
         c_n_answers, c_ratio, c_votes, c_median = 0, 1, 2, 3
-        eui = self._tbl_row[r[ei]]
+        eui = self.frozen.tbl_row[r[ei]]
         m = tbl.n[eui] - 1
         delta = sims_flat[pair_seg[ei] + (excl_row - tbl.seg_start[eui])]
         d_votes = tbl.hist_votes[excl_row]
@@ -655,7 +474,7 @@ class FeatureExtractor:
         inz, mm = ei[nz], m[nz]
         if inz.size:
             x[inz, c_n_answers] = mm.astype(float)
-            x[inz, c_ratio] = mm / (1.0 + self._asked[r[inz]])
+            x[inz, c_ratio] = mm / (1.0 + self.frozen.asked[r[inz]])
             x[inz, c_votes] = tbl.votes_sum[eui[nz]] - d_votes[nz]
             # Leave-one-out median by index arithmetic on the sorted
             # times: removing sorted position p shifts indices >= p
@@ -696,7 +515,7 @@ class FeatureExtractor:
 
     def _slow_exclusion(
         self,
-        user: int,
+        ui: int,
         tid: int,
         asked: float,
         row_sims: np.ndarray,
@@ -706,22 +525,25 @@ class FeatureExtractor:
         e: np.ndarray,
         x: np.ndarray,
     ) -> None:
-        """Masked fallback for pair ``i``, whose user answered some
-        thread more than once (pre-preprocessing data); ``row_sims`` are
-        the pair's per-history-row similarities."""
+        """Masked fallback for pair ``i``, whose user (history segment
+        ``ui``) answered some thread more than once (pre-preprocessing
+        data); ``row_sims`` are the pair's per-history-row similarities."""
         c_n_answers, c_ratio, c_votes, c_median = 0, 1, 2, 3
-        history = self.frozen.histories[user]
-        mask = history.answered_thread_ids != tid
+        tbl = self.frozen.batch_tables
+        lo = tbl.seg_start[ui]
+        rows = slice(lo, lo + tbl.n[ui])
+        mask = tbl.hist_tid[rows] != tid
         if mask.all():
             return  # target thread not in history: base values stand
         if mask.any():
-            votes_v = history.answer_votes
+            votes_v = tbl.hist_votes[rows]
+            response_times = tbl.times_sorted[lo + tbl.time_rank[rows]]
             row_sims = row_sims[mask]
             x[i, c_n_answers] = float(mask.sum())
             x[i, c_ratio] = float(mask.sum()) / (1.0 + asked)
             x[i, c_votes] = float(votes_v[mask].sum())
-            x[i, c_median] = float(np.median(history.response_times[mask]))
-            d_u[i] = history.answer_topic_vectors[mask].mean(axis=0)
+            x[i, c_median] = float(np.median(response_times[mask]))
+            d_u[i] = tbl.hist_answer_topics[rows][mask].mean(axis=0)
             g[i] = float(row_sims.sum())
             e[i] = float((row_sims * votes_v[mask]).sum())
         else:

@@ -172,11 +172,8 @@ class CandidateRetriever:
         """
         with perf.timer("retrieval.build"):
             tables = frozen.batch_tables
-            user_ids = np.fromiter(
-                tables.user_index, dtype=np.int64, count=len(tables.user_index)
-            )
             self._topic_index = TopicInvertedIndex(
-                user_ids, tables.d_u.copy()
+                tables.users, tables.d_u.copy()
             )
             self._topic_index.build_postings(self.config.n_jobs)
             if self._attached is None:
@@ -200,9 +197,7 @@ class CandidateRetriever:
             return
         with perf.timer("retrieval.refresh"):
             tables = frozen.batch_tables
-            new_ids = np.fromiter(
-                tables.user_index, dtype=np.int64, count=len(tables.user_index)
-            )
+            new_ids = tables.users
             old_ids = self._topic_index.user_ids
             if new_ids.size == old_ids.size and np.array_equal(
                 new_ids, old_ids
@@ -238,9 +233,9 @@ class CandidateRetriever:
         users = np.array([r.user for r in records], dtype=np.int64)
         threads = np.array([r.thread_id for r in records], dtype=np.int64)
         votes = np.array([r.votes for r in records], dtype=float)
-        question_topics = {
-            tid: info.topics for tid, info in frozen.question_info.items()
-        }
+        question_topics = dict(
+            zip(frozen.question_tids.tolist(), frozen.question_topics)
+        )
         self._mf.fit(users, threads, votes, question_topics)
 
     # -- querying -----------------------------------------------------------

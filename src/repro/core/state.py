@@ -2,11 +2,11 @@
 
 :class:`ForumState` is a mutable, windowed view of the forum that owns
 everything the feature layer used to rescan from scratch on every fit:
-per-question :class:`QuestionInfo`, per-user answer histories,
-discussed-topic aggregates, thread co-occurrence sets, and the two SLN
-edge multisets.  ``append(thread)`` queues one thread's delta,
-``evict(before_hours)`` slides the window forward, and ``freeze()``
-materializes the read-only tables (:class:`FrozenState`) a
+per-question :class:`QuestionInfo`, the columnar answer log,
+discussed-topic sums and the two SLN edge multisets.  ``append(thread)``
+queues one thread's delta, ``evict(before_hours)`` slides the window
+forward, and ``freeze()`` compiles the read-only tables
+(:class:`~repro.core.window.FrozenState`) a
 :class:`~repro.core.features.FeatureExtractor` computes features from.
 
 Topic inference is group-committed: ``append`` encodes the thread's
@@ -19,25 +19,26 @@ and at the top of every reader of topic-dependent state (``freeze``,
 
 Answer events are stored columnar: one row per answer in an append-only
 :class:`~repro.core.columnar.AnswerLog` (contiguous numpy segments,
-``int32`` ids / ``float32`` votes), with the per-user view reduced to a
-list of row ids.  Freezing gathers rows by fancy indexing instead of
-walking python objects, and eviction tombstones rows until a compaction
-pass rewrites the log (when dead rows outnumber live ones).
+``int32`` ids / ``float32`` votes).  Threads arrive in chronological
+order and a thread's answers are consecutive rows, so eviction, which
+drops the oldest threads, only moves the first live row forward; a
+compaction rewrites the log once dead rows outnumber live ones.
 
-Freezing is incremental where it matters: per-user reductions (medians,
-topic means, sorted response times) are cached and recomputed only for
-users whose history changed since the previous freeze, and graph
-centralities are recomputed only when the edge *set* actually changed
-(tracked by :class:`~repro.graphs.EdgeMultiset` versions).
+A freeze flattens the window into :class:`~repro.core.window.WindowColumns`
+(the live rows, the held questions and askers, the discussed-topic
+entries, participation, both graphs and their centralities) and hands
+them to :func:`~repro.core.window.build_frozen`, the one builder the
+streamed path uses too.  Centralities are recomputed only when the edge
+*set* changed (tracked by :class:`~repro.graphs.EdgeMultiset` versions).
 
 Determinism contract: a state reached by any append/evict history holds
 tables bit-identical to a state built fresh from the same thread window
 (``ForumState.from_dataset``).  Three rules make that hold:
 
-* threads must be appended in chronological order, so per-user row
-  lists always match the fresh-build iteration order;
-* cached per-user aggregates are pure functions of the gathered rows
-  (and row *values* survive compaction unchanged);
+* threads must be appended in chronological order, so the live rows
+  and the discussed-topic entries are in the fresh build's order;
+* the builder's sums add each user's rows in that order, and row
+  *values* survive compaction unchanged;
 * graphs are rebuilt in canonical (sorted) order before centralities,
   so set-iteration order never depends on the mutation history.
 
@@ -54,33 +55,25 @@ import numpy as np
 from .. import perf
 from ..forum.dataset import ForumDataset, fingerprint_threads
 from ..forum.models import Thread
-from ..graphs import (
-    EdgeMultiset,
-    UndirectedGraph,
-    dense_links,
-    qa_links,
-)
+from ..graphs import EdgeMultiset, dense_links, qa_links
 from ..graphs.centrality import _closeness_and_betweenness
 from ..topics.tokenizer import split_text_and_code
-from .columnar import (
-    AnswerLog,
-    BatchTables,
-    EventStore,
-    UserHistory,
-    UserSummary,
-    assemble_tables,
-    user_summary,
-)
+from .columnar import AnswerLog
 from .dtypes import VALUE_DTYPE
 from .topic_context import TopicModelContext
+from .window import (
+    ANSWER_COLUMNS,
+    FrozenState,
+    WindowColumns,
+    build_frozen,
+    id_array,
+)
 
 __all__ = [
     "QuestionInfo",
-    "ColumnQuestionInfo",
     "ForumState",
     "FrozenState",
     "question_info_from_thread",
-    "frozen_from_columns",
 ]
 
 # Compaction triggers once dead rows outnumber live ones *and* there is
@@ -119,81 +112,6 @@ def question_info_from_thread(
     )
 
 
-class ColumnQuestionInfo:
-    """Read-only ``tid -> QuestionInfo`` mapping over question columns.
-
-    The columnar stand-in for ``FrozenState.question_info``: instead of
-    materializing one :class:`QuestionInfo` per question up front (the
-    scale path holds hundreds of thousands), it keeps the per-question
-    columns as flat arrays — typically views of the question store's
-    columns — and builds dataclass instances on lookup only.  The topic
-    row handed out is a view, never a copy.
-    """
-
-    def __init__(self, tids, votes, word_length, code_length, topics):
-        self.tids = np.asarray(tids)
-        self.votes = np.asarray(votes)
-        self.word_length = np.asarray(word_length)
-        self.code_length = np.asarray(code_length)
-        self.topics = np.asarray(topics)
-        self._row = {int(t): i for i, t in enumerate(self.tids.tolist())}
-
-    def get(self, tid: int, default=None):
-        i = self._row.get(tid)
-        if i is None:
-            return default
-        return QuestionInfo(
-            votes=float(self.votes[i]),
-            word_length=float(self.word_length[i]),
-            code_length=float(self.code_length[i]),
-            topics=self.topics[i],
-        )
-
-    def __getitem__(self, tid: int) -> QuestionInfo:
-        info = self.get(tid)
-        if info is None:
-            raise KeyError(tid)
-        return info
-
-    def __contains__(self, tid: int) -> bool:
-        return tid in self._row
-
-    def __iter__(self):
-        return iter(self._row)
-
-    def __len__(self) -> int:
-        return len(self._row)
-
-
-@dataclass(frozen=True)
-class FrozenState:
-    """Read-only snapshot of one freeze; what the extractor consumes.
-
-    Containers are copies (values are shared immutable artifacts), so
-    later ``append``/``evict`` calls on the owning state never leak into
-    an extractor already serving predictions.
-    """
-
-    question_info: dict[int, QuestionInfo]
-    histories: dict[int, UserHistory]
-    questions_asked: dict[int, int]
-    global_median_response: float
-    discussed_sum: dict[int, np.ndarray]
-    discussed_count: dict[int, int]
-    discussed_by_thread: dict[int, dict[int, tuple[np.ndarray, int]]]
-    thread_sets: dict[int, set[int]]
-    qa_graph: UndirectedGraph
-    dense_graph: UndirectedGraph
-    qa_closeness: dict[int, float]
-    qa_betweenness: dict[int, float]
-    dense_closeness: dict[int, float]
-    dense_betweenness: dict[int, float]
-    batch_tables: BatchTables
-    duration_hours: float
-    n_threads: int
-    fingerprint: str
-
-
 class ForumState:
     """Mutable windowed forum view with delta updates and lazy freezing."""
 
@@ -201,26 +119,16 @@ class ForumState:
         self.topics = topics
         self._threads: dict[int, Thread] = {}
         self._last_created = float("-inf")
-        self._num_answers = 0
         self._question_info: dict[int, QuestionInfo] = {}
-        # Columnar answer events + per-user row-id lists (arrival order).
+        # Columnar answer events; rows before ``_live`` are evicted.
         self._log = AnswerLog(topics.n_topics)
-        self._user_rows: dict[int, list[int]] = {}
-        self._dead_rows = 0
-        self._questions_asked: dict[int, int] = {}
-        # Per-user, per-thread discussed-topic contributions, insertion
-        # (= chronological) ordered: user -> {tid: (topic sum, n posts)}.
-        self._discussed: dict[int, dict[int, tuple[np.ndarray, int]]] = {}
-        self._thread_sets: dict[int, set[int]] = {}
+        self._live = 0
+        # Discussed-topic contributions in fold (= chronological) order:
+        # (user, tid) -> (topic sum, n posts).
+        self._discussed: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
         self._qa = EdgeMultiset(qa_links)
         self._dense = EdgeMultiset(dense_links)
         # Freeze caches.
-        self._dirty_users: set[int] = set()
-        self._summaries: dict[int, UserSummary] = {}
-        self._dirty_discussed: set[int] = set()
-        self._discussed_totals: dict[int, tuple[np.ndarray, int]] = {}
-        self._rt_dirty = True
-        self._global_median = 1.0
         self._centrality_key: tuple | None = None
         self._centralities: tuple[dict, dict, dict, dict] | None = None
         self._frozen: FrozenState | None = None
@@ -256,7 +164,7 @@ class ForumState:
     @property
     def num_answers(self) -> int:
         self._settle()
-        return self._num_answers
+        return len(self._log) - self._live
 
     @property
     def last_created(self) -> float:
@@ -269,8 +177,7 @@ class ForumState:
 
     @property
     def answerers(self) -> set[int]:
-        self._settle()
-        return set(self._user_rows)
+        return set(self.answer_events()[0].tolist())
 
     @property
     def answer_log(self) -> AnswerLog:
@@ -282,24 +189,12 @@ class ForumState:
         """``(user, thread_id, timestamp)`` columns of the live rows.
 
         The columnar read path for derived indices (recency, activity):
-        one fancy-indexed gather instead of iterating Thread objects.
+        views of the log, with no Thread object touched.
         """
         self._settle()
-        if not self._user_rows:
-            empty_ids = self._log.column("user")[:0]
-            return empty_ids, empty_ids, np.empty(0)
-        rows = np.sort(
-            np.concatenate(
-                [
-                    np.asarray(r, dtype=np.int64)
-                    for r in self._user_rows.values()
-                ]
-            )
-        )
-        return (
-            self._log.gather("user", rows),
-            self._log.gather("thread_id", rows),
-            self._log.gather("timestamp", rows),
+        return tuple(
+            self._log.column(name)[self._live :]
+            for name in ("user", "thread_id", "timestamp")
         )
 
     @property
@@ -392,11 +287,10 @@ class ForumState:
         info = question_info_from_thread(thread, self.topics)
         self._question_info[tid] = info
         asker = thread.asker
-        self._questions_asked[asker] = self._questions_asked.get(asker, 0) + 1
         if thread.answers:
             answers = thread.answers
             timestamps = np.array([a.timestamp for a in answers])
-            start = self._log.append_thread(
+            self._log.append_thread(
                 [a.author for a in answers],
                 tid,
                 np.array([float(a.votes) for a in answers], dtype=VALUE_DTYPE),
@@ -405,24 +299,13 @@ class ForumState:
                 info.topics,
                 np.stack(post_topics[1:]),
             )
-            for offset, answer in enumerate(answers):
-                self._user_rows.setdefault(answer.author, []).append(
-                    start + offset
-                )
-                self._dirty_users.add(answer.author)
-            self._rt_dirty = True
-        self._num_answers += len(thread.answers)
         k = self.topics.n_topics
         for post, d in zip(posts, post_topics):
-            per_user = self._discussed.setdefault(post.author, {})
-            prev_sum, prev_count = per_user.get(tid, (np.zeros(k), 0))
-            per_user[tid] = (prev_sum + d, prev_count + 1)
-            self._dirty_discussed.add(post.author)
-        answerers = thread.answerers
-        for user in {asker, *answerers}:
-            self._thread_sets.setdefault(user, set()).add(tid)
-        self._qa.add_thread(asker, answerers)
-        self._dense.add_thread(asker, answerers)
+            key = (post.author, tid)
+            prev_sum, prev_count = self._discussed.get(key, (np.zeros(k), 0))
+            self._discussed[key] = (prev_sum + d, prev_count + 1)
+        self._qa.add_thread(asker, thread.answerers)
+        self._dense.add_thread(asker, thread.answerers)
 
     def evict(self, before_hours: float) -> int:
         """Drop threads created before ``before_hours``; returns the count."""
@@ -445,115 +328,34 @@ class ForumState:
         return len(stale)
 
     def _remove_thread(self, thread: Thread) -> None:
+        """Drop the oldest held thread; its answers are the first live
+        rows."""
         tid = thread.thread_id
         del self._threads[tid]
         del self._question_info[tid]
-        asker = thread.asker
-        remaining = self._questions_asked[asker] - 1
-        if remaining:
-            self._questions_asked[asker] = remaining
-        else:
-            del self._questions_asked[asker]
-        answerers = thread.answerers
-        for user in answerers:
-            rows = np.asarray(self._user_rows[user], dtype=np.int64)
-            keep = rows[self._log.gather("thread_id", rows) != tid]
-            self._dead_rows += rows.size - keep.size
-            if keep.size:
-                self._user_rows[user] = keep.tolist()
-                self._dirty_users.add(user)
-            else:
-                del self._user_rows[user]
-                self._dirty_users.discard(user)
-                self._summaries.pop(user, None)
-        self._num_answers -= len(thread.answers)
-        if thread.answers:
-            self._rt_dirty = True
+        self._live += len(thread.answers)
         for user in {post.author for post in thread.posts}:
-            per_user = self._discussed[user]
-            del per_user[tid]
-            if per_user:
-                self._dirty_discussed.add(user)
-            else:
-                del self._discussed[user]
-                self._dirty_discussed.discard(user)
-                self._discussed_totals.pop(user, None)
-        for user in {asker, *answerers}:
-            members = self._thread_sets[user]
-            members.discard(tid)
-            if not members:
-                del self._thread_sets[user]
-        self._qa.remove_thread(asker, answerers)
-        self._dense.remove_thread(asker, answerers)
+            del self._discussed[(user, tid)]
+        self._qa.remove_thread(thread.asker, thread.answerers)
+        self._dense.remove_thread(thread.asker, thread.answerers)
 
     def _maybe_compact(self) -> None:
-        """Rewrite the log without tombstones once they dominate it.
+        """Rewrite the log without its dead rows once they dominate it.
 
-        Row *values* are unchanged and per-user arrival order is
-        preserved (live row ids are remapped monotonically), so every
-        cached summary and every future freeze is unaffected.
+        Row *values* and order are unchanged, so every future freeze is
+        unaffected.
         """
-        if (
-            self._dead_rows < _COMPACT_MIN_DEAD
-            or self._dead_rows <= self._num_answers
-        ):
+        n_live = len(self._log) - self._live
+        if self._live < _COMPACT_MIN_DEAD or self._live <= n_live:
             return
         with perf.timer("state.compact"):
-            if self._user_rows:
-                live = np.sort(
-                    np.concatenate(
-                        [
-                            np.asarray(r, dtype=np.int64)
-                            for r in self._user_rows.values()
-                        ]
-                    )
-                )
-            else:
-                live = np.empty(0, dtype=np.int64)
-            self._log = self._log.compact(live)
-            for user, rows in self._user_rows.items():
-                self._user_rows[user] = np.searchsorted(
-                    live, np.asarray(rows, dtype=np.int64)
-                ).tolist()
-            self._dead_rows = 0
+            self._log = self._log.compact(
+                np.arange(self._live, len(self._log))
+            )
+            self._live = 0
         perf.incr("state.log_compactions")
 
     # -- freezing -------------------------------------------------------------
-
-    def _refresh_summaries(self) -> None:
-        refreshed = 0
-        for user in self._dirty_users:
-            rows = self._user_rows.get(user)
-            if rows is None:
-                self._summaries.pop(user, None)
-                continue
-            self._summaries[user] = user_summary(self._log, rows)
-            refreshed += 1
-        self._dirty_users.clear()
-        perf.incr("state.users_refreshed", refreshed)
-
-    def _refresh_discussed(self) -> None:
-        k = self.topics.n_topics
-        for user in self._dirty_discussed:
-            per_user = self._discussed.get(user)
-            if per_user is None:
-                self._discussed_totals.pop(user, None)
-                continue
-            total = np.zeros(k)
-            count = 0
-            for vec, n_posts in per_user.values():
-                total = total + vec
-                count += n_posts
-            self._discussed_totals[user] = (total, count)
-        self._dirty_discussed.clear()
-
-    def _assemble_tables(self) -> BatchTables:
-        # Canonical (sorted) user layout: the dict's insertion order
-        # depends on the append/evict history, and the tables must be
-        # identical however the window was reached.
-        return assemble_tables(
-            self._summaries, sorted(self._user_rows), self.topics.n_topics
-        )
 
     def _refresh_centralities(
         self, betweenness_sample_size: int | None, seed: int
@@ -573,145 +375,73 @@ class ForumState:
         self._centrality_key = key
         return self._centralities
 
+    def window_columns(
+        self, *, betweenness_sample_size: int | None = None, seed: int = 0
+    ) -> WindowColumns:
+        """The current window as the builder's flat columns.
+
+        Questions asked and participation come from the held threads'
+        askers and the live rows; the discussed-topic entries are
+        flattened in fold order.
+        """
+        self._settle()
+        k = self.topics.n_topics
+        rows = {
+            name: self._log.column(name)[self._live :]
+            for name in ANSWER_COLUMNS
+        }
+        n = len(self._threads)
+        tids = id_array(self._threads, n)
+        askers = id_array((t.asker for t in self._threads.values()), n)
+        infos = [self._question_info[tid] for tid in self._threads]
+        entries = self._discussed
+        m = len(entries)
+        return WindowColumns(
+            n_topics=k,
+            **rows,
+            question_tid=tids,
+            question_asker=askers,
+            question_scalars=np.array(
+                [(i.votes, i.word_length, i.code_length) for i in infos]
+            ).reshape(n, 3),
+            question_topics=np.array([i.topics for i in infos]).reshape(n, k),
+            disc_user=id_array((user for user, _ in entries), m),
+            disc_tid=id_array((tid for _, tid in entries), m),
+            disc_sum=np.array(
+                [total for total, _ in entries.values()]
+            ).reshape(m, k),
+            disc_count=id_array((count for _, count in entries.values()), m),
+            member_user=np.concatenate([askers, rows["user"]]),
+            member_tid=np.concatenate([tids, rows["thread_id"]]),
+            qa_graph=self._qa.graph(),
+            dense_graph=self._dense.graph(),
+            centralities=self._refresh_centralities(
+                betweenness_sample_size, seed
+            ),
+            duration_hours=self.duration_hours,
+            n_threads=n,
+            fingerprint=self.fingerprint(),
+            betweenness_sample_size=betweenness_sample_size,
+            seed=seed,
+        )
+
     def freeze(
         self, *, betweenness_sample_size: int | None = None, seed: int = 0
     ) -> FrozenState:
-        """Materialize the read-only tables for the current window.
+        """Compile the read-only tables for the current window.
 
-        Unchanged per-user blocks and unchanged graph topologies are
-        served from caches; a repeated call with the same parameters on
-        an unmutated state returns the previous snapshot.
+        Unchanged graph topologies reuse their centralities; a repeated
+        call with the same parameters on an unmutated state returns the
+        previous snapshot.
         """
         key = (betweenness_sample_size, seed)
         if self._frozen is not None and self._frozen_key == key:
             return self._frozen
         with perf.timer("state.freeze"):
-            self._settle()
-            self._refresh_summaries()
-            self._refresh_discussed()
-            if self._rt_dirty:
-                if self._user_rows:
-                    rows = np.concatenate(
-                        [
-                            np.asarray(r, dtype=np.int64)
-                            for r in self._user_rows.values()
-                        ]
-                    )
-                    self._global_median = float(
-                        np.median(self._log.gather("response_time", rows))
-                    )
-                else:
-                    self._global_median = 1.0
-                self._rt_dirty = False
-            qa_clo, qa_bet, dense_clo, dense_bet = self._refresh_centralities(
-                betweenness_sample_size, seed
-            )
-            self._frozen = FrozenState(
-                question_info=dict(self._question_info),
-                histories={
-                    u: self._summaries[u].history for u in self._user_rows
-                },
-                questions_asked=dict(self._questions_asked),
-                global_median_response=self._global_median,
-                discussed_sum={
-                    u: total for u, (total, _) in self._discussed_totals.items()
-                },
-                discussed_count={
-                    u: count for u, (_, count) in self._discussed_totals.items()
-                },
-                discussed_by_thread={
-                    u: dict(per) for u, per in self._discussed.items()
-                },
-                thread_sets={u: set(s) for u, s in self._thread_sets.items()},
-                qa_graph=self._qa.graph(),
-                dense_graph=self._dense.graph(),
-                qa_closeness=qa_clo,
-                qa_betweenness=qa_bet,
-                dense_closeness=dense_clo,
-                dense_betweenness=dense_bet,
-                batch_tables=self._assemble_tables(),
-                duration_hours=self.duration_hours,
-                n_threads=len(self._threads),
-                fingerprint=self.fingerprint(),
+            self._frozen = build_frozen(
+                self.window_columns(
+                    betweenness_sample_size=betweenness_sample_size, seed=seed
+                )
             )
             self._frozen_key = key
         return self._frozen
-
-
-def frozen_from_columns(
-    log: AnswerLog,
-    questions: EventStore,
-    *,
-    duration_hours: float | None = None,
-) -> FrozenState:
-    """A servable :class:`FrozenState` built straight from columnar stores.
-
-    The scale path: a streamed forum
-    (:func:`~repro.forum.streaming.ingest_stream`) has answer rows
-    and question columns but no ``Thread`` objects and no post bodies,
-    so the structures that need bodies or explicit post lists
-    (discussed-topic aggregates, thread co-occurrence sets, SLN graphs
-    and centralities) are empty here — the corresponding features
-    evaluate to their documented no-evidence defaults.  Everything the
-    batch feature engine actually reduces over — per-user histories,
-    batch tables, per-question info — is exact, and ``question_info``
-    stays columnar
-    (:class:`ColumnQuestionInfo`) instead of materializing one
-    dataclass per question.
-    """
-    with perf.timer("state.frozen_from_columns"):
-        users_col = log.column("user")
-        response_times = log.column("response_time")
-        order = np.argsort(users_col, kind="stable")
-        sorted_users = users_col[order]
-        starts = np.flatnonzero(
-            np.r_[True, sorted_users[1:] != sorted_users[:-1]]
-        ) if sorted_users.size else np.empty(0, dtype=np.int64)
-        ends = np.append(starts[1:], sorted_users.size)
-        summaries: dict[int, UserSummary] = {}
-        for lo, hi in zip(starts.tolist(), ends.tolist()):
-            # Stable argsort keeps each user's rows in arrival order.
-            summaries[int(sorted_users[lo])] = user_summary(
-                log, order[lo:hi]
-            )
-        users_sorted = sorted(summaries)
-        tables = assemble_tables(summaries, users_sorted, log.n_topics)
-        uniq, counts = np.unique(questions.column("asker"), return_counts=True)
-        timestamps = log.column("timestamp")
-        if duration_hours is None:
-            duration_hours = max(
-                float(timestamps.max()) if timestamps.size else 0.0,
-                float(questions.column("created_at").max())
-                if len(questions)
-                else 0.0,
-            )
-        return FrozenState(
-            question_info=ColumnQuestionInfo(
-                questions.column("thread_id"),
-                questions.column("votes"),
-                questions.column("word_chars"),
-                questions.column("code_chars"),
-                questions.column("topics"),
-            ),
-            histories={u: summaries[u].history for u in users_sorted},
-            questions_asked=dict(
-                zip((int(u) for u in uniq.tolist()), counts.tolist())
-            ),
-            global_median_response=float(np.median(response_times))
-            if response_times.size
-            else 1.0,
-            discussed_sum={},
-            discussed_count={},
-            discussed_by_thread={},
-            thread_sets={},
-            qa_graph=EdgeMultiset(qa_links).graph(),
-            dense_graph=EdgeMultiset(dense_links).graph(),
-            qa_closeness={},
-            qa_betweenness={},
-            dense_closeness={},
-            dense_betweenness={},
-            batch_tables=tables,
-            duration_hours=float(duration_hours),
-            n_threads=len(questions),
-            fingerprint=f"columnar:{len(questions)}q:{len(log)}a",
-        )

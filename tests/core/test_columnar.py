@@ -6,9 +6,7 @@ import pytest
 from repro.core.columnar import (
     AnswerLog,
     EventStore,
-    assemble_tables,
     thread_activity,
-    user_summary,
 )
 from repro.core.dtypes import ID_DTYPE, ID_MAX, IdOverflowError, ensure_ids
 
@@ -185,24 +183,3 @@ class TestThreadActivity:
             np.empty(0),
         )
         assert u.size == t.size == c.size == latest.size == 0
-
-
-class TestSummaries:
-    def test_user_summary_and_tables_roundtrip(self):
-        k = 2
-        log = AnswerLog(k)
-        log.append_thread(
-            users=np.array([4, 6]),
-            thread_id=50,
-            votes=np.array([3.0, 1.0]),
-            timestamps=np.array([2.0, 4.0]),
-            response_times=np.array([1.0, 3.0]),
-            question_topics=np.array([0.25, 0.75]),
-            answer_topics=np.array([[0.1, 0.9], [0.6, 0.4]]),
-        )
-        s4 = user_summary(log, np.array([0]))
-        assert s4.history.answer_votes.size == 1
-        assert s4.votes_sum == 3.0
-        tables = assemble_tables({4: s4}, [4], k)
-        assert tables.hist_votes.dtype == np.float32
-        np.testing.assert_allclose(tables.d_u[0], [0.1, 0.9])

@@ -19,8 +19,15 @@ from repro import perf
 from repro.core import build_extractor
 from repro.core.features import FeatureExtractor, PairBlocks
 from repro.core.serving.service import OnlineReport
+from repro.core.state import ForumState
+from repro.core.window import build_frozen
+from repro.forum.dataset import ForumDataset
 from repro.forum.models import Thread
-from repro.graphs import UndirectedGraph
+from repro.graphs import (
+    UndirectedGraph,
+    betweenness_centrality,
+    closeness_centrality,
+)
 
 from ..feature_oracle import scalar_matrix
 
@@ -34,12 +41,45 @@ def assert_equivalent(extractor, pairs):
     np.testing.assert_allclose(batch, reference, rtol=0.0, atol=1e-12)
 
 
-def rebound(extractor, **changes):
-    """An extractor over the same window with frozen fields replaced."""
-    frozen = dataclasses.replace(extractor.frozen, **changes)
+def rebound(extractor, threads=None, **graphs):
+    """An extractor built from edited freeze columns: those of the
+    extractor's window (or of ``threads``), with ``graphs``
+    (``qa_graph``/``dense_graph``) swapped in and their centralities
+    recomputed."""
+    window = extractor.window if threads is None else ForumDataset(threads)
+    frozen = extractor.frozen
+    sample, seed = frozen.betweenness_sample_size, frozen.seed
+    columns = ForumState.from_dataset(window, extractor.topics).window_columns(
+        betweenness_sample_size=sample, seed=seed
+    )
+    columns = dataclasses.replace(columns, **graphs)
+    columns = dataclasses.replace(
+        columns,
+        centralities=tuple(
+            centrality
+            for graph in (columns.qa_graph, columns.dense_graph)
+            for centrality in (
+                closeness_centrality(graph),
+                betweenness_centrality(
+                    graph, sample_sources=sample, seed=seed
+                ),
+            )
+        ),
+    )
     ex = FeatureExtractor.__new__(FeatureExtractor)
-    ex._bind(frozen, extractor.topics, extractor.window)
+    ex._bind(build_frozen(columns), extractor.topics, window)
     return ex
+
+
+def relabelled(dataset, user, new_id):
+    """The window's threads with every post of ``user`` by ``new_id``."""
+    def post(p):
+        return dataclasses.replace(p, author=new_id) if p.author == user else p
+
+    return [
+        Thread(post(t.question), [post(a) for a in t.answers])
+        for t in dataset
+    ]
 
 
 def fresh_question(dataset, asker, offset=0):
@@ -258,10 +298,18 @@ class TestBlockEdgeCases:
         assert_equivalent(ex, pairs)
 
     def test_asker_without_thread_set(self, extractor, dataset):
+        """An asker with graph edges but no thread in the window: its
+        posts are relabelled away from the columns, the graphs kept."""
         asker = busiest_asker(dataset)
-        thread_sets = dict(extractor.frozen.thread_sets)
-        del thread_sets[asker]
-        ex = rebound(extractor, thread_sets=thread_sets)
+        ex = rebound(
+            extractor,
+            relabelled(dataset, asker, UNKNOWN + 100),
+            qa_graph=extractor.qa_graph,
+            dense_graph=extractor.dense_graph,
+        )
+        row = ex._rows(np.array([asker]))[0]
+        assert row < ex.frozen.user_ids.size - 1  # a graph node
+        assert ex.frozen.user_ptr[row] == ex.frozen.user_ptr[row + 1]
         own = next(t for t in dataset if t.asker == asker)
         pairs = block_pairs(dataset, own)
         pairs += block_pairs(dataset, fresh_question(dataset, asker))
@@ -277,7 +325,8 @@ class TestBlockEdgeCases:
         window, doubled = with_duplicate_answer(dataset)
         first = doubled.answers[0]
         ex = build_extractor(window, predictor_config)
-        assert first.author in ex.frozen.batch_tables.dup_users
+        tables = ex.frozen.batch_tables
+        assert first.author in tables.users[tables.dup]
         pairs = block_pairs(window, doubled)
         pairs += [(first.author, t) for t in window.threads[:30]]
         assert_equivalent(ex, pairs)
@@ -289,7 +338,8 @@ def layout_case(dataset, predictor_config):
     pools random run layouts draw from."""
     window, doubled = with_duplicate_answer(dataset)
     ex = build_extractor(window, predictor_config)
-    dup = sorted(ex.frozen.batch_tables.dup_users)
+    tables = ex.frozen.batch_tables
+    dup = tables.users[tables.dup].tolist()
     assert dup
     asker = busiest_asker(window)
     own = next(t for t in window if t.asker == asker)

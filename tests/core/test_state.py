@@ -1,5 +1,6 @@
 """Tests for repro.core.state — the incremental forum state engine."""
 
+import dataclasses
 import sys
 from dataclasses import replace
 from unittest import mock
@@ -15,6 +16,7 @@ from repro.core.state import ForumState, FrozenState
 from repro.core.topic_context import TopicModelContext
 from repro.forum.dataset import ForumDataset
 from repro.forum.models import Thread
+from repro.graphs import UndirectedGraph
 
 
 @pytest.fixture(scope="module")
@@ -22,69 +24,20 @@ def topics(dataset):
     return TopicModelContext.fit(dataset, n_topics=4, seed=0)
 
 
-def assert_tables_equal(ta, tb):
-    assert ta.user_index == tb.user_index
-    assert ta.row_of == tb.row_of
-    assert ta.dup_users == tb.dup_users
-    for name in (
-        "n",
-        "votes_sum",
-        "median_rt",
-        "d_u",
-        "topic_sum",
-        "seg_start",
-        "hist_topics",
-        "hist_votes",
-        "hist_answer_topics",
-        "times_sorted",
-        "time_rank",
-    ):
-        np.testing.assert_array_equal(
-            getattr(ta, name), getattr(tb, name), err_msg=name
-        )
-
-
-def assert_frozen_equal(fa, fb):
-    """Every FrozenState field bit-equal between two snapshots."""
-    assert fa.fingerprint == fb.fingerprint
-    assert fa.n_threads == fb.n_threads
-    assert fa.duration_hours == fb.duration_hours
-    assert list(fa.question_info) == list(fb.question_info)
-    for tid, info in fa.question_info.items():
-        other = fb.question_info[tid]
-        assert (info.votes, info.word_length, info.code_length) == (
-            other.votes,
-            other.word_length,
-            other.code_length,
-        )
-        np.testing.assert_array_equal(info.topics, other.topics)
-    assert fa.questions_asked == fb.questions_asked
-    assert fa.global_median_response == fb.global_median_response
-    assert fa.thread_sets == fb.thread_sets
-    assert set(fa.histories) == set(fb.histories)
-    assert fa.discussed_count == fb.discussed_count
-    assert set(fa.discussed_sum) == set(fb.discussed_sum)
-    for user in fa.discussed_sum:
-        np.testing.assert_array_equal(
-            fa.discussed_sum[user], fb.discussed_sum[user]
-        )
-    assert set(fa.discussed_by_thread) == set(fb.discussed_by_thread)
-    for user, per_thread in fa.discussed_by_thread.items():
-        other = fb.discussed_by_thread[user]
-        assert list(per_thread) == list(other)
-        for tid, (total, count) in per_thread.items():
-            np.testing.assert_array_equal(total, other[tid][0])
-            assert count == other[tid][1]
-    for name in (
-        "qa_closeness",
-        "qa_betweenness",
-        "dense_closeness",
-        "dense_betweenness",
-    ):
-        assert getattr(fa, name) == getattr(fb, name), name
-    assert sorted(fa.qa_graph.edges()) == sorted(fb.qa_graph.edges())
-    assert sorted(fa.dense_graph.edges()) == sorted(fb.dense_graph.edges())
-    assert_tables_equal(fa.batch_tables, fb.batch_tables)
+def assert_frozen_equal(a, b):
+    """Every table of two snapshots bit-equal, dtypes included."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, np.ndarray):
+            assert x.dtype == y.dtype, field.name
+            np.testing.assert_array_equal(x, y, err_msg=field.name)
+        elif isinstance(x, UndirectedGraph):
+            assert list(x.nodes()) == list(y.nodes()), field.name
+            assert sorted(x.edges()) == sorted(y.edges()), field.name
+        elif dataclasses.is_dataclass(x):  # the history segments
+            assert_frozen_equal(x, y)
+        else:
+            assert x == y, field.name
 
 
 class TestMutation:
@@ -190,10 +143,9 @@ class TestAppendInference:
         assert len(state) == 1
         state.append(after)
         frozen = state.freeze(betweenness_sample_size=50, seed=0)
-        assert set(frozen.question_info) == {
-            first.thread_id,
-            after.thread_id,
-        }
+        assert frozen.question_tids.tolist() == sorted(
+            [first.thread_id, after.thread_id]
+        )
 
 
 # Operations of the settle property; appends are drawn most often so
@@ -351,12 +303,12 @@ class TestFreeze:
             state.append(thread)
         frozen = state.freeze(betweenness_sample_size=100, seed=0)
         n_threads = frozen.n_threads
-        n_questions = len(frozen.question_info)
+        n_questions = frozen.question_tids.size
         for thread in dataset.threads[half:]:
             state.append(thread)
         assert frozen.n_threads == n_threads
-        assert len(frozen.question_info) == n_questions
-        assert dataset.threads[half].thread_id not in frozen.question_info
+        assert frozen.question_tids.size == n_questions
+        assert dataset.threads[half].thread_id not in frozen.question_tids
 
     def test_freeze_key_includes_parameters(self, dataset, topics):
         state = ForumState.from_dataset(dataset, topics)

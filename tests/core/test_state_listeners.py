@@ -165,23 +165,22 @@ class TestFreezeInterleavings:
                 reference.append(thread)
         ref_frozen = reference.freeze()
 
-        assert set(frozen.histories) == set(ref_frozen.histories)
-        for user, hist in frozen.histories.items():
-            ref = ref_frozen.histories[user]
+        tables, ref_tables = frozen.batch_tables, ref_frozen.batch_tables
+        for name in (
+            "users",
+            "n",
+            "hist_tid",
+            "hist_votes",
+            "times_sorted",
+            "time_rank",
+            "d_u",
+        ):
             np.testing.assert_array_equal(
-                hist.answered_thread_ids, ref.answered_thread_ids
-            )
-            np.testing.assert_array_equal(hist.answer_votes, ref.answer_votes)
-            np.testing.assert_array_equal(
-                hist.response_times, ref.response_times
+                getattr(tables, name), getattr(ref_tables, name), err_msg=name
             )
         assert (
             frozen.global_median_response == ref_frozen.global_median_response
         )
-        tables, ref_tables = frozen.batch_tables, ref_frozen.batch_tables
-        assert list(tables.user_index) == list(ref_tables.user_index)
-        np.testing.assert_array_equal(tables.d_u, ref_tables.d_u)
-        np.testing.assert_array_equal(tables.hist_votes, ref_tables.hist_votes)
 
 
 class TestCompactionInvisibility:
@@ -221,8 +220,6 @@ class TestCompactionInvisibility:
         for thread in survivors:
             reference.append(thread)
         frozen, ref_frozen = state.freeze(), reference.freeze()
-        assert set(frozen.histories) == set(ref_frozen.histories)
-        for user, hist in frozen.histories.items():
-            np.testing.assert_array_equal(
-                hist.answer_votes, ref_frozen.histories[user].answer_votes
-            )
+        tables, ref_tables = frozen.batch_tables, ref_frozen.batch_tables
+        np.testing.assert_array_equal(tables.users, ref_tables.users)
+        np.testing.assert_array_equal(tables.hist_votes, ref_tables.hist_votes)

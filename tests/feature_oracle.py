@@ -1,90 +1,134 @@
 """Scalar reference featurizer: one (user, question) pair at a time.
 
-The test oracle for :meth:`FeatureExtractor.feature_matrix`.  It reads
-the extractor's :class:`~repro.core.state.FrozenState` dictionaries
-directly and follows the paper's feature definitions (Sec. II-B) with
-no precomputed tables, so it shares no code with the block kernel it
-checks.  The two agree element-wise to floating-point roundoff
-(``atol=1e-12``).
+The test oracle for :meth:`FeatureExtractor.feature_matrix`.  It
+rebuilds the window from ``extractor.window``'s threads and the topic
+cache (each user's answer history, discussed topics, questions asked
+and thread participation) and its centralities from the extractor's
+two graphs, then follows the paper's feature definitions (Sec. II-B)
+pair by pair.  It reads none of the compiled tables, so it shares no
+code with the block kernel it checks.  The two agree element-wise to
+floating-point roundoff (``atol=1e-12``).
 """
 
 from __future__ import annotations
 
+from collections import Counter, defaultdict
+
 import numpy as np
 
-from repro.graphs import resource_allocation_index
+from repro.core.state import question_info_from_thread
+from repro.graphs import (
+    betweenness_centrality,
+    closeness_centrality,
+    resource_allocation_index,
+)
 
 
 def _tv_similarity(p: np.ndarray, q: np.ndarray) -> float:
     return float(1.0 - 0.5 * np.abs(p - q).sum())
 
 
-def _topics_discussed(frozen, uniform, user: int, exclude_thread: int):
-    total = frozen.discussed_sum.get(user)
-    if total is None:
-        return uniform
-    count = frozen.discussed_count[user]
-    excl = frozen.discussed_by_thread.get(user, {}).get(exclude_thread)
-    if excl is not None:
-        total = total - excl[0]
-        count -= excl[1]
-    if count <= 0:
-        return uniform
-    return total / count
+class _Window:
+    """Per-user quantities of the extractor's window, from its threads."""
+
+    def __init__(self, extractor):
+        topics = extractor.topics
+        frozen = extractor.frozen
+        # user -> [(thread id, question topics, votes, response time,
+        # answer topics)] in window order.
+        self.history = defaultdict(list)
+        # user -> {thread id: [topic sum, n posts]}
+        self.discussed = defaultdict(dict)
+        self.threads_of = defaultdict(set)
+        self.asked = Counter()
+        response_times = []
+        for thread in extractor.window:
+            tid = thread.thread_id
+            d_q = topics.post_topics(thread.question)
+            self.asked[thread.asker] += 1
+            self.threads_of[thread.asker].add(tid)
+            for answer in thread.answers:
+                rt = answer.timestamp - thread.created_at
+                response_times.append(rt)
+                self.history[answer.author].append(
+                    (tid, d_q, answer.votes, rt, topics.post_topics(answer))
+                )
+                self.threads_of[answer.author].add(tid)
+            for post in thread.posts:
+                entry = self.discussed[post.author].setdefault(
+                    tid, [np.zeros(topics.n_topics), 0]
+                )
+                entry[0] = entry[0] + topics.post_topics(post)
+                entry[1] += 1
+        self.global_median = (
+            float(np.median(response_times)) if response_times else 1.0
+        )
+        self.centralities = [
+            (
+                closeness_centrality(graph),
+                betweenness_centrality(
+                    graph,
+                    sample_sources=frozen.betweenness_sample_size,
+                    seed=frozen.seed,
+                ),
+            )
+            for graph in (extractor.qa_graph, extractor.dense_graph)
+        ]
+
+    def topics_discussed(self, uniform, user: int, exclude_thread: int):
+        per_thread = self.discussed.get(user, {})
+        total, count = np.zeros(len(uniform)), 0
+        for tid, (vec, n) in per_thread.items():
+            if tid != exclude_thread:
+                total = total + vec
+                count += n
+        return total / count if count > 0 else uniform
 
 
-def scalar_features(extractor, user: int, thread) -> np.ndarray:
+def scalar_features(extractor, user: int, thread, window=None) -> np.ndarray:
     """The full x_uq vector for one (user, question) pair."""
-    frozen = extractor.frozen
+    window = window or _Window(extractor)
     k = extractor.topics.n_topics
     uniform = np.full(k, 1.0 / k)
     tid = thread.thread_id
-    info = extractor._question_info_for(thread)
+    info = question_info_from_thread(thread, extractor.topics)
 
     # Leakage guard: the target thread's rows leave the user's history.
-    history = frozen.histories.get(user)
-    mask = None if history is None else history.answered_thread_ids != tid
-    known = history is not None and mask.any()
+    rows = [row for row in window.history.get(user, []) if row[0] != tid]
 
     # User features (i)-(v).
-    if known:
-        n_answers = float(mask.sum())
-        votes_sum = float(history.answer_votes[mask].sum())
-        median_rt = float(np.median(history.response_times[mask]))
-        d_u = history.answer_topic_vectors[mask].mean(axis=0)
+    if rows:
+        n_answers = float(len(rows))
+        votes_sum = float(sum(row[2] for row in rows))
+        median_rt = float(np.median([row[3] for row in rows]))
+        d_u = np.mean([row[4] for row in rows], axis=0)
     else:
         n_answers = 0.0
         votes_sum = 0.0
-        median_rt = frozen.global_median_response
+        median_rt = window.global_median
         d_u = uniform
-    asked = frozen.questions_asked.get(user, 0)
-    answer_ratio = n_answers / (1.0 + asked)
+    answer_ratio = n_answers / (1.0 + window.asked.get(user, 0))
 
     # Question features (vi)-(ix).
     d_q = info.topics
 
     # User-question features (x)-(xii).
     s_uq = _tv_similarity(d_u, d_q)
-    if known:
-        sims = 1.0 - 0.5 * np.abs(
-            history.answered_question_topics[mask] - d_q[None, :]
-        ).sum(axis=1)
-        g_uq = float(sims.sum())
-        e_uq = float((sims * history.answer_votes[mask]).sum())
-    else:
-        g_uq = 0.0
-        e_uq = 0.0
+    sims = [_tv_similarity(row[1], d_q) for row in rows]
+    g_uq = float(sum(sims))
+    e_uq = float(sum(s * row[2] for s, row in zip(sims, rows)))
 
     # Social features (xiii)-(xx).
     asker = thread.asker
     s_uv = _tv_similarity(
-        _topics_discussed(frozen, uniform, user, tid),
-        _topics_discussed(frozen, uniform, asker, tid),
+        window.topics_discussed(uniform, user, tid),
+        window.topics_discussed(uniform, asker, tid),
     )
-    shared = frozen.thread_sets.get(user, set()) & frozen.thread_sets.get(
+    shared = window.threads_of.get(user, set()) & window.threads_of.get(
         asker, set()
     )
     h_uv = float(len(shared - {tid}))
+    (qa_clo, qa_bet), (dense_clo, dense_bet) = window.centralities
     return np.concatenate(
         [
             [n_answers, answer_ratio, votes_sum, median_rt],
@@ -97,12 +141,12 @@ def scalar_features(extractor, user: int, thread) -> np.ndarray:
                 e_uq,
                 s_uv,
                 h_uv,
-                frozen.qa_closeness.get(user, 0.0),
-                frozen.qa_betweenness.get(user, 0.0),
-                resource_allocation_index(frozen.qa_graph, user, asker),
-                frozen.dense_closeness.get(user, 0.0),
-                frozen.dense_betweenness.get(user, 0.0),
-                resource_allocation_index(frozen.dense_graph, user, asker),
+                qa_clo.get(user, 0.0),
+                qa_bet.get(user, 0.0),
+                resource_allocation_index(extractor.qa_graph, user, asker),
+                dense_clo.get(user, 0.0),
+                dense_bet.get(user, 0.0),
+                resource_allocation_index(extractor.dense_graph, user, asker),
             ],
         ]
     ).astype(float)
@@ -110,4 +154,7 @@ def scalar_features(extractor, user: int, thread) -> np.ndarray:
 
 def scalar_matrix(extractor, pairs) -> np.ndarray:
     """Oracle rows for many pairs, stacked in input order."""
-    return np.stack([scalar_features(extractor, u, t) for u, t in pairs])
+    window = _Window(extractor)
+    return np.stack(
+        [scalar_features(extractor, u, t, window) for u, t in pairs]
+    )
