@@ -474,7 +474,7 @@ def _cmd_serve(args) -> int:
     latency = metrics["query_latency"]
     if latency["count"]:
         print(
-            f"query latency (virtual): p50 {latency['p50_ms']:.2f}ms  "
+            f"query latency (simulated): p50 {latency['p50_ms']:.2f}ms  "
             f"p95 {latency['p95_ms']:.2f}ms  p99 {latency['p99_ms']:.2f}ms"
         )
     statuses = ", ".join(

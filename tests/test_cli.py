@@ -194,7 +194,7 @@ class TestServe:
         out = capsys.readouterr().out
         assert code == 0
         assert "150 queries + 30 events" in out
-        assert "query latency (virtual): p50 " in out
+        assert "query latency (simulated): p50 " in out
         assert "admission: " in out
         assert "batching: " in out
         assert "health: ok" in out
