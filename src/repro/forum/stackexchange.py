@@ -52,15 +52,19 @@ def load_posts_xml(
 ) -> ForumDataset:
     """Load a data-dump ``Posts.xml`` into a forum dataset.
 
-    Rows with an unparseable id, date or score, and answers whose parent
-    question was filtered out or missing, are skipped.  Timestamps are
-    rebased to hours after the earliest kept question.  An answer dated
-    before its own question raises ``ValueError`` naming both ids;
-    timestamps are never clamped.
+    Rows with an unparseable id, date or score, answers whose parent
+    question was filtered out or missing, and answers by the question's
+    own author (which :class:`~repro.core.resilience.StreamGuard` would
+    drop) are skipped.  Timestamps are rebased to hours after the
+    earliest kept question.  ``ValueError`` names the offending ids for
+    an answer dated before its own question (timestamps are never
+    clamped), a post id that appears twice, and a question with no body
+    text.
     """
     path = Path(path)
     questions: dict[int, dict] = {}
     answers: list[dict] = []
+    seen: set[int] = set()
     for _, elem in ET.iterparse(str(path), events=("end",)):
         if elem.tag != "row":
             continue
@@ -76,7 +80,13 @@ def load_posts_xml(
         except (TypeError, ValueError):
             elem.clear()
             continue
+        if post_type in ("1", "2"):
+            if record["post_id"] in seen:
+                raise ValueError(f"post id {record['post_id']} appears twice")
+            seen.add(record["post_id"])
         if post_type == "1":
+            if not record["body"].strip():
+                raise ValueError(f"question {record['post_id']} has no body text")
             if _tags_match(elem.get("Tags", ""), required_tag):
                 questions[record["post_id"]] = record
         elif post_type == "2":
@@ -107,7 +117,7 @@ def load_posts_xml(
         )
     for a in answers:
         thread = threads.get(a["parent_id"])
-        if thread is None:
+        if thread is None or a["author"] == thread.asker:
             continue
         if a["epoch"] < questions[a["parent_id"]]["epoch"]:
             raise ValueError(

@@ -1,9 +1,15 @@
 """Tests for repro.forum.stackexchange — real-data loaders."""
 
 import json
+import xml.etree.ElementTree as ET
+from datetime import datetime, timedelta
+from xml.sax.saxutils import quoteattr
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
+from repro.core.resilience import StreamGuard
 from repro.forum.stackexchange import load_api_json, load_posts_xml
 
 POSTS_XML = """<?xml version="1.0" encoding="utf-8"?>
@@ -242,3 +248,190 @@ class TestApiJson:
         clean, report = ds.preprocess()
         assert len(clean) == 1  # question 200 has no answers
         assert report.questions_dropped_unanswered == 1
+
+
+# -- ingestion fuzzing -------------------------------------------------------
+
+_ROW_ATTRS = (
+    "Id",
+    "PostTypeId",
+    "ParentId",
+    "CreationDate",
+    "Score",
+    "Body",
+    "OwnerUserId",
+    "Tags",
+)
+
+
+def _posts_xml(rows) -> str:
+    """A ``Posts.xml`` document from attribute dicts (None = omitted)."""
+    lines = ['<?xml version="1.0" encoding="utf-8"?>', "<posts>"]
+    for row in rows:
+        attrs = " ".join(
+            f"{name}={quoteattr(row[name])}"
+            for name in _ROW_ATTRS
+            if row.get(name) is not None
+        )
+        lines.append(f"  <row {attrs} />")
+    lines.append("</posts>")
+    return "\n".join(lines)
+
+
+def _dump_date(minutes: int) -> str:
+    return (datetime(2018, 6, 3) + timedelta(minutes=minutes)).isoformat(
+        timespec="milliseconds"
+    )
+
+
+# Malformed or missing (None) values, one of which may replace a field;
+# "1" repeats the first post's id.
+_BROKEN = {
+    "Id": [None, "x", "", "-3", "2.0", "1"],
+    "PostTypeId": [None, "3", ""],
+    "ParentId": [None, "y", "999"],
+    "CreationDate": [None, "2018-13-40T00:00:00", "yesterday", ""],
+    "Score": [None, "1.5", "n"],
+    "Body": [None, "", "  "],
+    "OwnerUserId": [None, "z"],
+    "Tags": [None, "<css>"],
+}
+
+
+@st.composite
+def dump_rows(draw):
+    """A small dump: questions, answers to them dated mostly after them,
+    in any row order, with a few fields broken.  Authors come from a
+    small pool, so they collide."""
+    authors = st.integers(10, 14).map(str)
+    scores = st.integers(-5, 50).map(str)
+    minutes = draw(st.lists(st.integers(0, 6 * 60), max_size=5))
+    rows = [
+        {
+            "Id": str(i + 1),
+            "PostTypeId": "1",
+            "CreationDate": _dump_date(minute),
+            "Score": draw(scores),
+            "Body": "<p>How do I sort a list?</p>",
+            "OwnerUserId": draw(authors),
+            "Tags": "<python>",
+        }
+        for i, minute in enumerate(minutes)
+    ]
+    if minutes:
+        for _ in range(draw(st.integers(0, 8))):
+            parent = draw(st.integers(0, len(minutes) - 1))
+            delay = draw(st.integers(-60, 600))
+            rows.append(
+                {
+                    "Id": str(len(rows) + 1),
+                    "PostTypeId": "2",
+                    "ParentId": str(parent + 1),
+                    "CreationDate": _dump_date(minutes[parent] + delay),
+                    "Score": draw(scores),
+                    "Body": "use sorted()",
+                    "OwnerUserId": draw(authors),
+                }
+            )
+    rows = draw(st.permutations(rows))
+    for row in rows:
+        field = draw(st.sampled_from([None] * 24 + list(_BROKEN)))
+        if field is not None:
+            row[field] = draw(st.sampled_from(_BROKEN[field]))
+    return rows
+
+
+def _question(post_id="1", author="10", **changes):
+    row = {
+        "Id": post_id,
+        "PostTypeId": "1",
+        "CreationDate": "2018-06-03T10:00:00.000",
+        "Score": "0",
+        "Body": "<p>How do I sort a list?</p>",
+        "OwnerUserId": author,
+    }
+    return {**row, **changes}
+
+
+def _answer(post_id="2", author="11", **changes):
+    row = {
+        "Id": post_id,
+        "PostTypeId": "2",
+        "ParentId": "1",
+        "CreationDate": "2018-06-03T11:00:00.000",
+        "Score": "0",
+        "Body": "use sorted()",
+        "OwnerUserId": author,
+    }
+    return {**row, **changes}
+
+
+# An answer dated before its own question raises, also when it is not
+# before the earliest question.
+_EARLY_ANSWER = [
+    _question(),
+    _question(post_id="3", CreationDate="2018-06-04T09:00:00.000"),
+    _answer(ParentId="3", CreationDate="2018-06-04T08:00:00.000"),
+]
+# Defects the property found, each now a typed error or a skipped row.
+_NO_BODY = [_question(Body=None)]
+_REPEATED_ID = [_question(), _answer(post_id="1")]
+_SELF_ANSWER = [_question(), _answer(author="10")]
+
+
+class TestPostsXmlFuzz:
+    """``load_posts_xml`` on hostile dumps either raises a typed error or
+    yields threads a fresh ``StreamGuard`` admits unchanged, in order,
+    with no degradation record."""
+
+    @pytest.fixture(scope="class")
+    def workdir(self, tmp_path_factory):
+        return tmp_path_factory.mktemp("fuzz")
+
+    @settings(
+        max_examples=200,
+        deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        rows=dump_rows(),
+        cut=st.sampled_from([None] * 6 + [40, 300]),
+    )
+    @example(rows=_EARLY_ANSWER, cut=None)
+    @example(rows=_NO_BODY, cut=None)
+    @example(rows=_REPEATED_ID, cut=None)
+    @example(rows=_SELF_ANSWER, cut=None)
+    def test_loader_output_passes_the_stream_guard(self, workdir, rows, cut):
+        text = _posts_xml(rows)
+        if cut is not None:  # a truncated download
+            text = text[:cut]
+        path = workdir / "Posts.xml"
+        path.write_text(text)
+        try:
+            dataset = load_posts_xml(path)
+        except (ValueError, ET.ParseError):
+            return
+        guard = StreamGuard()
+        for thread in dataset.threads:
+            assert guard.admit(thread) is thread
+        assert guard.report.records == []
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            (_EARLY_ANSWER, "answer 2 is dated before its question 3"),
+            (_NO_BODY, "question 1 has no body text"),
+            (_REPEATED_ID, "post id 1 appears twice"),
+        ],
+    )
+    def test_found_defects_raise(self, workdir, rows, message):
+        path = workdir / "defect.xml"
+        path.write_text(_posts_xml(rows))
+        with pytest.raises(ValueError, match=message):
+            load_posts_xml(path)
+
+    def test_self_answer_skipped(self, workdir):
+        path = workdir / "self.xml"
+        path.write_text(_posts_xml(_SELF_ANSWER + [_answer(post_id="3")]))
+        (thread,) = load_posts_xml(path).threads
+        assert [a.post_id for a in thread.answers] == [3]
