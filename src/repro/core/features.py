@@ -253,20 +253,23 @@ class FeatureExtractor:
     # -- question info ----------------------------------------------------------
 
     def _question_info_for(self, thread: Thread) -> QuestionInfo:
-        tid = thread.thread_id
         f = self.frozen
-        hit, pos = self._lookup(np.array([tid]), f.question_tids)
-        if hit.size:
-            votes, word_length, code_length = f.question_scalars[pos[0]]
-            return QuestionInfo(
-                votes=float(votes),
-                word_length=float(word_length),
-                code_length=float(code_length),
-                topics=f.question_topics[pos[0]],
-            )
-        # Out-of-window thread: keep its info in a bounded LRU so a
-        # streaming caller (the online simulator routes every incoming
-        # question through here) cannot grow memory without bound.
+        i = f.question_tids.searchsorted(thread.thread_id)
+        if f.question_tids[i] != thread.thread_id:
+            return self._outside_info(thread)
+        votes, word_length, code_length = f.question_scalars[i].tolist()
+        return QuestionInfo(
+            votes=votes,
+            word_length=word_length,
+            code_length=code_length,
+            topics=f.question_topics[i],
+        )
+
+    def _outside_info(self, thread: Thread) -> QuestionInfo:
+        """Info of an out-of-window thread, kept in a bounded LRU so a
+        streaming caller (the online simulator routes every incoming
+        question through here) cannot grow memory without bound."""
+        tid = thread.thread_id
         extra = self._extra_question_info
         info = extra.get(tid)
         if info is not None:
@@ -336,14 +339,10 @@ class FeatureExtractor:
         # the questions with no info yet get their d(q) in one inference
         # pass.
         q_tid = id_array((t.thread_id for t in threads), len(threads))
-        q_scalars = np.empty((len(threads), 3))
-        q_topics = np.empty((len(threads), k))
-        hit, pos = self._lookup(q_tid, f.question_tids)
-        q_scalars[hit] = f.question_scalars[pos]
-        q_topics[hit] = f.question_topics[pos]
-        outside = np.ones(len(threads), dtype=bool)
-        outside[hit] = False
-        outside = np.flatnonzero(outside).tolist()
+        q_pos = f.question_tids.searchsorted(q_tid)
+        q_scalars = f.question_scalars[q_pos]
+        q_topics = f.question_topics[q_pos]
+        outside = np.flatnonzero(f.question_tids[q_pos] != q_tid).tolist()
         unseen = [
             threads[b].question
             for b in outside
@@ -352,7 +351,7 @@ class FeatureExtractor:
         if unseen:
             self.topics.post_topics_many(unseen)
         for b in outside:
-            info = self._question_info_for(threads[b])
+            info = self._outside_info(threads[b])
             q_scalars[b] = (info.votes, info.word_length, info.code_length)
             q_topics[b] = info.topics
         q_asker = self._rows(

@@ -234,7 +234,7 @@ class CandidateRetriever:
         threads = np.array([r.thread_id for r in records], dtype=np.int64)
         votes = np.array([r.votes for r in records], dtype=float)
         question_topics = dict(
-            zip(frozen.question_tids.tolist(), frozen.question_topics)
+            zip(frozen.question_tids[:-1].tolist(), frozen.question_topics)
         )
         self._mf.fit(users, threads, votes, question_topics)
 

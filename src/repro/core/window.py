@@ -16,7 +16,8 @@ block featurizer reads (:class:`FrozenState`):
 * the thread inverse: one sorted entry per (thread, user row) with a
   history row, a discussed-topic contribution or a place in the
   thread's participants, and participation in CSR form both ways;
-* the question columns, keyed by sorted thread id.
+* the question columns, keyed by sorted thread id, with a pad row that
+  a lookup past the last id lands on.
 
 Both freezes feed it: :meth:`ForumState.freeze
 <repro.core.state.ForumState.freeze>` passes its live answer rows, held
@@ -236,9 +237,9 @@ class FrozenState:
     thread_members: np.ndarray
     user_ptr: np.ndarray  # participation CSR: user row -> threads
     user_threads: np.ndarray
-    question_tids: np.ndarray  # (Q,) ascending
-    question_scalars: np.ndarray  # (Q, 3) votes, word and code length
-    question_topics: np.ndarray  # (Q, K)
+    question_tids: np.ndarray  # (Q + 1,) ascending, then the pad
+    question_scalars: np.ndarray  # (Q + 1, 3) votes, word, code length
+    question_topics: np.ndarray  # (Q + 1, K)
     qa_graph: UndirectedGraph
     dense_graph: UndirectedGraph
     global_median_response: float
@@ -399,6 +400,8 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
     np.cumsum(np.bincount(member_rows, minlength=n_rows), out=user_ptr[1:])
 
     by_tid = np.argsort(cols.question_tid, kind="stable")
+    question_scalars = np.asarray(cols.question_scalars, dtype=np.float64)
+    question_topics = np.asarray(cols.question_topics, dtype=np.float64)
     return FrozenState(
         user_ids=user_ids,
         row_table=table,
@@ -415,13 +418,15 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
         thread_members=member_rows,
         user_ptr=user_ptr,
         user_threads=thread_index[np.argsort(member_rows, kind="stable")],
-        question_tids=np.asarray(cols.question_tid, dtype=np.int64)[by_tid],
-        question_scalars=np.asarray(
-            cols.question_scalars, dtype=np.float64
-        ).reshape(-1, 3)[by_tid],
-        question_topics=np.asarray(
-            cols.question_topics, dtype=np.float64
-        ).reshape(-1, k)[by_tid],
+        question_tids=np.append(
+            np.asarray(cols.question_tid, dtype=np.int64)[by_tid], _ID_PAD
+        ),
+        question_scalars=np.vstack(
+            [question_scalars.reshape(-1, 3)[by_tid], np.zeros((1, 3))]
+        ),
+        question_topics=np.vstack(
+            [question_topics.reshape(-1, k)[by_tid], np.zeros((1, k))]
+        ),
         qa_graph=cols.qa_graph,
         dense_graph=cols.dense_graph,
         global_median_response=global_median,

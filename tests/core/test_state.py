@@ -143,7 +143,7 @@ class TestAppendInference:
         assert len(state) == 1
         state.append(after)
         frozen = state.freeze(betweenness_sample_size=50, seed=0)
-        assert frozen.question_tids.tolist() == sorted(
+        assert frozen.question_tids[:-1].tolist() == sorted(
             [first.thread_id, after.thread_id]
         )
 
