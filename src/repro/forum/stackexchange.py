@@ -52,7 +52,7 @@ def load_posts_xml(
 ) -> ForumDataset:
     """Load a data-dump ``Posts.xml`` into a forum dataset.
 
-    Rows with an unparseable id, date or score, answers whose parent
+    Rows with an unparseable id, date, score or parent id, answers whose parent
     question was filtered out or missing, and answers by the question's
     own author (which :class:`~repro.core.resilience.StreamGuard` would
     drop) are skipped.  Timestamps are rebased to hours after the
@@ -77,6 +77,9 @@ def load_posts_xml(
                 "body": elem.get("Body", ""),
                 "author": int(elem.get("OwnerUserId", _ANONYMOUS_USER)),
             }
+            parent = elem.get("ParentId")
+            if post_type == "2" and parent is not None:
+                record["parent_id"] = int(parent)
         except (TypeError, ValueError):
             elem.clear()
             continue
@@ -89,11 +92,8 @@ def load_posts_xml(
                 raise ValueError(f"question {record['post_id']} has no body text")
             if _tags_match(elem.get("Tags", ""), required_tag):
                 questions[record["post_id"]] = record
-        elif post_type == "2":
-            parent = elem.get("ParentId")
-            if parent is not None:
-                record["parent_id"] = int(parent)
-                answers.append(record)
+        elif post_type == "2" and "parent_id" in record:
+            answers.append(record)
         elem.clear()
     if not questions:
         return ForumDataset([])

@@ -133,6 +133,18 @@ class TestPostsXml:
         path.write_text(POSTS_XML.replace("</posts>", same + "</posts>"))
         assert load_posts_xml(path).thread(1).answer_by(15).timestamp == 0.0
 
+    def test_answer_with_unparseable_parent_skipped(self, tmp_path):
+        bad = (
+            '  <row Id="6" PostTypeId="2" ParentId="y"'
+            ' CreationDate="2018-06-03T12:00:00.000" Score="0" Body="lost"'
+            ' OwnerUserId="15" />\n'
+        )
+        path = tmp_path / "Posts.xml"
+        path.write_text(POSTS_XML.replace("</posts>", bad + "</posts>"))
+        ds = load_posts_xml(path)
+        assert [t.thread_id for t in ds] == [1, 3]
+        assert [[a.post_id for a in t.answers] for t in ds] == [[2], [4]]
+
     def test_early_answer_to_filtered_question_skipped(self, tmp_path):
         # Its parent is dropped by the tag filter, so it is never checked.
         early = (
