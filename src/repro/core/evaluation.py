@@ -30,7 +30,7 @@ from ..ml.metrics import auc_score, rmse
 from ..ml.scaler import StandardScaler
 from .answer_model import AnswerModel
 from .features import FeatureExtractor
-from .parallel import parallel_map, resolve_n_jobs
+from .parallel import parallel_map
 from .pipeline import PredictorConfig
 from .timing_model import TimingModel
 from .topic_context import TopicModelContext
@@ -242,23 +242,6 @@ class Table1Result:
 
 
 # --------------------------------------------------------------------------
-# Parallel dispatch
-# --------------------------------------------------------------------------
-
-
-_resolve_n_jobs = resolve_n_jobs
-
-
-def _parallel_map(fn, tasks: list, n_jobs: int | None) -> list:
-    """:func:`repro.core.parallel.parallel_map` with perf merging on.
-
-    Fold fits record pipeline stage timings; merging the worker
-    registries keeps ``perf.report()`` identical to a serial run.
-    """
-    return parallel_map(fn, tasks, n_jobs, merge_perf=True)
-
-
-# --------------------------------------------------------------------------
 # Fold-level evaluation
 # --------------------------------------------------------------------------
 
@@ -414,10 +397,11 @@ def run_table1(
         )
     folds = list(_fold_iterator(pairs, n_folds, n_repeats, config.seed))
     with perf.timer("evaluation.table1_cv"):
-        per_fold = _parallel_map(
+        per_fold = parallel_map(
             _table1_fold_task,
             [(pairs, train, test, config) for train, test in folds],
             n_jobs,
+            merge_perf=True,
         )
     metrics: dict[str, list[float]] = {
         "answer_model": [],
@@ -519,10 +503,11 @@ def _cv_task_metrics(
 ) -> dict[str, float]:
     """Mean model-side metrics over CV folds for the requested tasks."""
     folds = list(_fold_iterator(pairs, n_folds, n_repeats, config.seed))
-    per_fold = _parallel_map(
+    per_fold = parallel_map(
         _cv_fold_task,
         [(pairs, train, test, config, tasks) for train, test in folds],
         n_jobs,
+        merge_perf=True,
     )
     return {t: float(np.mean([fold[t] for fold in per_fold])) for t in tasks}
 
@@ -563,10 +548,11 @@ def run_topic_sweep(
         PredictorConfig(**{**config.__dict__, "n_topics": k}) for k in counts
     ]
     with perf.timer("evaluation.topic_sweep"):
-        per_k = _parallel_map(
+        per_k = parallel_map(
             _topic_sweep_task,
             [(dataset, cfg, n_folds, n_repeats) for cfg in configs],
             n_jobs,
+            merge_perf=True,
         )
     raw = dict(zip(counts, per_k))
     base = raw[base_topics]
@@ -617,10 +603,11 @@ def run_feature_importance(
         pairs.keep_columns(spec.mask_without(features=(name,))) for name in names
     ]
     with perf.timer("evaluation.feature_importance"):
-        metrics = _parallel_map(
+        metrics = parallel_map(
             _ablation_task,
             [(unit, config, n_folds, n_repeats, tasks) for unit in units],
             n_jobs,
+            merge_perf=True,
         )
     base, ablations = metrics[0], metrics[1:]
     out: dict[str, dict[str, float]] = {}
@@ -697,7 +684,7 @@ def run_group_importance_by_history(
             raise ValueError(f"no threads in history window {first}..{eval_first_day}")
         windows.append(window)
     with perf.timer("evaluation.group_importance"):
-        per_window = _parallel_map(
+        per_window = parallel_map(
             _history_window_task,
             [
                 (
@@ -712,5 +699,6 @@ def run_group_importance_by_history(
                 for window in windows
             ],
             n_jobs,
+            merge_perf=True,
         )
     return dict(zip(history_lengths, per_window))

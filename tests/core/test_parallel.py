@@ -3,12 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.evaluation import (
-    _cv_task_metrics,
-    _parallel_map,
-    _resolve_n_jobs,
-    run_table1,
-)
+from repro.core.evaluation import _cv_task_metrics, run_table1
+from repro.core.parallel import parallel_map, resolve_n_jobs
 
 
 def _square(v):
@@ -18,36 +14,36 @@ def _square(v):
 class TestResolveNJobs:
     def test_default_serial(self, monkeypatch):
         monkeypatch.delenv("REPRO_N_JOBS", raising=False)
-        assert _resolve_n_jobs(None) == 1
+        assert resolve_n_jobs(None) == 1
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_N_JOBS", "3")
-        assert _resolve_n_jobs(None) == 3
+        assert resolve_n_jobs(None) == 3
 
     def test_explicit_beats_env(self, monkeypatch):
         monkeypatch.setenv("REPRO_N_JOBS", "3")
-        assert _resolve_n_jobs(2) == 2
+        assert resolve_n_jobs(2) == 2
 
     def test_garbage_env_falls_back(self, monkeypatch):
         monkeypatch.setenv("REPRO_N_JOBS", "lots")
-        assert _resolve_n_jobs(None) == 1
+        assert resolve_n_jobs(None) == 1
 
     def test_floor_at_one(self):
-        assert _resolve_n_jobs(0) == 1
-        assert _resolve_n_jobs(-4) == 1
+        assert resolve_n_jobs(0) == 1
+        assert resolve_n_jobs(-4) == 1
 
 
 class TestParallelMap:
     def test_serial_matches_comprehension(self):
         tasks = list(range(7))
-        assert _parallel_map(_square, tasks, n_jobs=1) == [t * t for t in tasks]
+        assert parallel_map(_square, tasks, n_jobs=1) == [t * t for t in tasks]
 
     def test_parallel_preserves_order_and_values(self):
         tasks = list(range(7))
-        assert _parallel_map(_square, tasks, n_jobs=2) == [t * t for t in tasks]
+        assert parallel_map(_square, tasks, n_jobs=2) == [t * t for t in tasks]
 
     def test_single_task_stays_serial(self):
-        assert _parallel_map(_square, [5], n_jobs=4) == [25]
+        assert parallel_map(_square, [5], n_jobs=4) == [25]
 
 
 @pytest.mark.slow
