@@ -9,18 +9,18 @@ one *user row* per window user plus a sentinel row holding the
 no-evidence defaults for every user the window does not know, and one
 sorted *thread inverse* over (thread, user row) entries that carries
 the leakage guard's history rows, the discussed topics with that thread
-left out, and thread participation.  The extractor binds one such
-snapshot.  Batch callers construct from a dataset (which builds a
-throwaway state) or, on the streaming path, from a long-lived state via
-:meth:`FeatureExtractor.from_state` — the freeze then reuses the
-centralities of unchanged graphs.
+left out, and thread participation, and the two SLN graphs in CSR form.
+The extractor binds one such snapshot.  Batch callers construct from a
+dataset (which builds a throwaway state) or, on the streaming path,
+from a long-lived state via :meth:`FeatureExtractor.from_state`.
 
 :meth:`FeatureExtractor.feature_matrix` groups pairs into one block per
 question and fills every column with array gathers by user row and
 block.  The one lazily grown structure is the *asker memo*: per asker,
 the sparse shared-thread counts and resource-allocation indices over
-its co-participants and two-hop neighbourhood; every other user's
-values are exactly zero.
+its co-participants and two-hop neighbourhood, gathered from the
+participation and graph CSRs; every other user's values are exactly
+zero.
 
 Leakage guard: when the target thread itself lies inside the window,
 all user-side aggregates (answer counts, votes, response times, topic
@@ -43,23 +43,12 @@ import numpy as np
 from .. import perf
 from ..forum.dataset import ForumDataset
 from ..forum.models import Thread
-from ..graphs import UndirectedGraph, resource_allocation_indices
 from .featurespec import FeatureSpec
 from .state import ForumState, QuestionInfo, question_info_from_thread
 from .topic_context import TopicModelContext
-from .window import FrozenState, id_array, unique, user_rows
+from .window import FrozenState, id_array, segments, unique, user_rows
 
 __all__ = ["FeatureExtractor", "PairBlocks", "QuestionInfo"]
-
-
-def _segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Flat indices of the ranges ``[starts[i], starts[i] + lengths[i])``,
-    concatenated in order."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if ends.size else 0
-    return np.arange(total, dtype=np.int64) + np.repeat(
-        starts - (ends - lengths), lengths
-    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,9 +120,9 @@ class FeatureExtractor:
     ) -> "FeatureExtractor":
         """Extractor over a live :class:`ForumState`'s current window.
 
-        This is the streaming path: the state's freeze reuses every
-        cached per-user block and centrality table that is still valid,
-        and the returned extractor holds an immutable snapshot — later
+        This is the streaming path: the state compiles its window in one
+        freeze (or returns the snapshot of an unmutated window), and the
+        returned extractor holds that immutable snapshot — later
         ``append``/``evict`` calls on the state do not affect it.
         """
         self = cls.__new__(cls)
@@ -156,8 +145,6 @@ class FeatureExtractor:
         self._uniform = np.full(topics.n_topics, 1.0 / topics.n_topics)
         self.frozen = frozen
         self._extra_question_info: OrderedDict[int, QuestionInfo] = OrderedDict()
-        self.qa_graph: UndirectedGraph = frozen.qa_graph
-        self.dense_graph: UndirectedGraph = frozen.dense_graph
         # The asker memo (see _extend_memo): sorted keys
         # ``asker_row * n_rows + row`` with their (n, 3) social values,
         # and which asker rows it holds.
@@ -194,61 +181,49 @@ class FeatureExtractor:
         the shared-thread count ``|S_u & S_a|`` and the RAI on the QA
         and dense graphs.  Every user outside the entries has all three
         exactly zero, and so has the RAI of a co-participant outside the
-        two-hop neighbourhood.  The other RAI values start as NaN and
-        are filled on first use by :meth:`_fill_rai`.
+        two-hop neighbourhood.
         """
         f = self.frozen
         n_rows = f.user_ids.size
         lengths = np.diff(f.user_ptr)[askers]
-        threads = f.user_threads[_segments(f.user_ptr[askers], lengths)]
+        threads = f.user_threads[segments(f.user_ptr[askers], lengths)]
         owner = np.repeat(askers, lengths)
         lengths = np.diff(f.thread_ptr)[threads]
-        members = f.thread_members[_segments(f.thread_ptr[threads], lengths)]
+        members = f.thread_members[segments(f.thread_ptr[threads], lengths)]
         shared_keys, shared = np.unique(
             np.repeat(owner, lengths) * n_rows + members, return_counts=True
         )
-        two_hop_users: list[int] = []
-        owners: list[int] = []
-        for a_row, asker in zip(
-            askers.tolist(), f.user_ids[askers].tolist()
+        # The two-hop walks asker -> w -> user; the user's RAI adds
+        # 1 / |Gamma_w| per walk, in ascending w.
+        walks = []
+        for indptr, indices in (
+            (f.qa_indptr, f.qa_indices),
+            (f.dense_indptr, f.dense_indices),
         ):
-            two_hop: set[int] = set()
-            for graph in (self.qa_graph, self.dense_graph):
-                if asker in graph:
-                    for nbr in graph.neighbors(asker):
-                        two_hop |= graph.neighbors(nbr)
-            two_hop_users.extend(two_hop)
-            owners.extend([a_row] * len(two_hop))
-        two_hop_keys = np.asarray(owners, dtype=np.int64) * n_rows
-        two_hop_keys += self._rows(np.asarray(two_hop_users, dtype=np.int64))
-        keys = unique(np.concatenate([shared_keys, two_hop_keys]))
+            degree = np.diff(indptr)
+            lengths = degree[askers]
+            mid = indices[segments(indptr[askers], lengths)]
+            owner = np.repeat(askers, lengths)
+            lengths = degree[mid]
+            ends = indices[segments(indptr[mid], lengths)]
+            walks.append(
+                (
+                    np.repeat(owner, lengths) * n_rows + ends,
+                    np.repeat(1.0 / degree[mid], lengths),
+                )
+            )
+        keys = unique(np.concatenate([shared_keys, *(k for k, _ in walks)]))
         values = np.zeros((keys.size, 3))
         values[np.searchsorted(keys, shared_keys), 0] = shared
-        values[np.searchsorted(keys, two_hop_keys), 1:] = np.nan
+        for col, (walk_keys, weights) in enumerate(walks, start=1):
+            values[:, col] = np.bincount(
+                np.searchsorted(keys, walk_keys), weights, minlength=keys.size
+            )
         keys = np.concatenate([self._memo_key, keys])
         order = np.argsort(keys, kind="stable")
         self._memo_key = keys[order]
         self._memo_values = np.concatenate([self._memo_values, values])[order]
         self._memoized[askers] = True
-
-    def _fill_rai(self, entries: np.ndarray) -> None:
-        """Compute the memo's pending RAI values at ``entries`` from the
-        same ``(user, asker)`` tuples a per-pair call would use, so each
-        keeps its summation order."""
-        user_ids = self.frozen.user_ids
-        keys = self._memo_key[entries]
-        pairs = list(
-            zip(
-                user_ids[keys % user_ids.size].tolist(),
-                user_ids[keys // user_ids.size].tolist(),
-            )
-        )
-        self._memo_values[entries, 1] = resource_allocation_indices(
-            self.qa_graph, pairs
-        )
-        self._memo_values[entries, 2] = resource_allocation_indices(
-            self.dense_graph, pairs
-        )
 
     # -- question info ----------------------------------------------------------
 
@@ -383,7 +358,7 @@ class FeatureExtractor:
             pair_seg[kidx] = seg[:-1]
             total = int(seg[-1])
             flat_pair = np.repeat(kidx, counts)
-            flat_rows = _segments(tbl.seg_start[kui], counts)
+            flat_rows = segments(tbl.seg_start[kui], counts)
             sims_flat = np.empty(total)
             chunk = max(1, self._SIM_CHUNK_ELEMENTS // max(1, k))
             for s in range(0, total, chunk):
@@ -435,9 +410,6 @@ class FeatureExtractor:
         if missing.size:
             self._extend_memo(missing)
         hit, entry = self._lookup(q_asker[block] * n_rows + r, self._memo_key)
-        pending = unique(entry[np.isnan(self._memo_values[entry, 1])])
-        if pending.size:
-            self._fill_rai(pending)
         values = self._memo_values[entry]
         shared = np.zeros(n)
         shared[hit] = values[:, 0]

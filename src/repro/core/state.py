@@ -2,8 +2,8 @@
 
 :class:`ForumState` is a mutable, windowed view of the forum that owns
 everything the feature layer used to rescan from scratch on every fit:
-per-question :class:`QuestionInfo`, the columnar answer log,
-discussed-topic sums and the two SLN edge multisets.  ``append(thread)``
+per-question :class:`QuestionInfo`, the columnar answer log and
+discussed-topic sums.  ``append(thread)``
 queues one thread's delta, ``evict(before_hours)`` slides the window
 forward, and ``freeze()`` compiles the read-only tables
 (:class:`~repro.core.window.FrozenState`) a
@@ -26,10 +26,10 @@ compaction rewrites the log once dead rows outnumber live ones.
 
 A freeze flattens the window into :class:`~repro.core.window.WindowColumns`
 (the live rows, the held questions and askers, the discussed-topic
-entries, participation, both graphs and their centralities) and hands
-them to :func:`~repro.core.window.build_frozen`, the one builder the
-streamed path uses too.  Centralities are recomputed only when the edge
-*set* changed (tracked by :class:`~repro.graphs.EdgeMultiset` versions).
+entries and participation) and hands them to
+:func:`~repro.core.window.build_frozen`, the one builder the streamed
+path uses too; it derives both SLN graphs and their centralities from
+the participation.
 
 Determinism contract: a state reached by any append/evict history holds
 tables bit-identical to a state built fresh from the same thread window
@@ -39,8 +39,10 @@ tables bit-identical to a state built fresh from the same thread window
   and the discussed-topic entries are in the fresh build's order;
 * the builder's sums add each user's rows in that order, and row
   *values* survive compaction unchanged;
-* graphs are rebuilt in canonical (sorted) order before centralities,
-  so set-iteration order never depends on the mutation history.
+* the graphs are built from the participation columns with nodes in
+  ascending id order and each node's neighbours ascending, so no
+  set- or dict-iteration order reaches the centralities or the
+  resource-allocation sums.
 
 The serving core relies on this: its incremental refits produce the
 exact same :class:`OnlineReport` as a full rebuild of every window.
@@ -55,8 +57,6 @@ import numpy as np
 from .. import perf
 from ..forum.dataset import ForumDataset, fingerprint_threads
 from ..forum.models import Thread
-from ..graphs import EdgeMultiset, dense_links, qa_links
-from ..graphs.centrality import _closeness_and_betweenness
 from ..topics.tokenizer import split_text_and_code
 from .columnar import AnswerLog
 from .dtypes import VALUE_DTYPE
@@ -126,11 +126,7 @@ class ForumState:
         # Discussed-topic contributions in fold (= chronological) order:
         # (user, tid) -> (topic sum, n posts).
         self._discussed: dict[tuple[int, int], tuple[np.ndarray, int]] = {}
-        self._qa = EdgeMultiset(qa_links)
-        self._dense = EdgeMultiset(dense_links)
-        # Freeze caches.
-        self._centrality_key: tuple | None = None
-        self._centralities: tuple[dict, dict, dict, dict] | None = None
+        # Freeze cache.
         self._frozen: FrozenState | None = None
         self._frozen_key: tuple | None = None
         # Mutation listeners (candidate indices, monitors): objects with
@@ -286,7 +282,6 @@ class ForumState:
         post_topics = self.topics.post_topics_many(posts)
         info = question_info_from_thread(thread, self.topics)
         self._question_info[tid] = info
-        asker = thread.asker
         if thread.answers:
             answers = thread.answers
             timestamps = np.array([a.timestamp for a in answers])
@@ -304,8 +299,6 @@ class ForumState:
             key = (post.author, tid)
             prev_sum, prev_count = self._discussed.get(key, (np.zeros(k), 0))
             self._discussed[key] = (prev_sum + d, prev_count + 1)
-        self._qa.add_thread(asker, thread.answerers)
-        self._dense.add_thread(asker, thread.answerers)
 
     def evict(self, before_hours: float) -> int:
         """Drop threads created before ``before_hours``; returns the count."""
@@ -336,8 +329,6 @@ class ForumState:
         self._live += len(thread.answers)
         for user in {post.author for post in thread.posts}:
             del self._discussed[(user, tid)]
-        self._qa.remove_thread(thread.asker, thread.answerers)
-        self._dense.remove_thread(thread.asker, thread.answerers)
 
     def _maybe_compact(self) -> None:
         """Rewrite the log without its dead rows once they dominate it.
@@ -356,24 +347,6 @@ class ForumState:
         perf.incr("state.log_compactions")
 
     # -- freezing -------------------------------------------------------------
-
-    def _refresh_centralities(
-        self, betweenness_sample_size: int | None, seed: int
-    ) -> tuple[dict, dict, dict, dict]:
-        key = (self._qa.version, self._dense.version, betweenness_sample_size, seed)
-        if self._centrality_key == key and self._centralities is not None:
-            perf.incr("state.centrality_cache_hits")
-            return self._centralities
-        with perf.timer("state.centrality"):
-            qa, dense = (
-                _closeness_and_betweenness(
-                    store.graph(), betweenness_sample_size, seed
-                )
-                for store in (self._qa, self._dense)
-            )
-            self._centralities = (*qa, *dense)
-        self._centrality_key = key
-        return self._centralities
 
     def window_columns(
         self, *, betweenness_sample_size: int | None = None, seed: int = 0
@@ -413,11 +386,6 @@ class ForumState:
             disc_count=id_array((count for _, count in entries.values()), m),
             member_user=np.concatenate([askers, rows["user"]]),
             member_tid=np.concatenate([tids, rows["thread_id"]]),
-            qa_graph=self._qa.graph(),
-            dense_graph=self._dense.graph(),
-            centralities=self._refresh_centralities(
-                betweenness_sample_size, seed
-            ),
             duration_hours=self.duration_hours,
             n_threads=n,
             fingerprint=self.fingerprint(),
@@ -430,9 +398,8 @@ class ForumState:
     ) -> FrozenState:
         """Compile the read-only tables for the current window.
 
-        Unchanged graph topologies reuse their centralities; a repeated
-        call with the same parameters on an unmutated state returns the
-        previous snapshot.
+        A repeated call with the same parameters on an unmutated state
+        returns the previous snapshot.
         """
         key = (betweenness_sample_size, seed)
         if self._frozen is not None and self._frozen_key == key:

@@ -17,20 +17,27 @@ block featurizer reads (:class:`FrozenState`):
   history row, a discussed-topic contribution or a place in the
   thread's participants, and participation in CSR form both ways;
 * the question columns, keyed by sorted thread id, with a pad row that
-  a lookup past the last id lands on.
+  a lookup past the last id lands on;
+* the two SLN graphs ``G_QA`` and ``G_D`` (Sec. II-B) in CSR form over
+  user rows, built from the participation columns: a thread's
+  participants are its asker and answerers, ``G_QA`` links each of them
+  to the thread's asker and ``G_D`` links every pair of them.  Their
+  closeness and betweenness fill four row-table columns.
 
 Both freezes feed it: :meth:`ForumState.freeze
 <repro.core.state.ForumState.freeze>` passes its live answer rows, held
-questions, discussed-topic entries, participation and graphs;
+questions, discussed-topic entries and participation;
 :meth:`WindowColumns.from_stores` passes a streamed forum's columnar
 stores, which carry no post bodies or post lists, so its discussed
-topics, participation and graphs are empty and the social features
-take their no-evidence defaults.
+topics and participation, and with them the graphs, are empty and the
+social features take their no-evidence defaults.
 
 Determinism: every table entry is a gather, an integer count, a sort or
 a float sum that adds a user's rows one at a time in arrival order (the
-order ``ndarray.sum(axis=0)`` over the user's rows uses), so a window
-reached by any append/evict history gives bit-identical tables.
+order ``ndarray.sum(axis=0)`` over the user's rows uses); the graphs'
+nodes are in ascending id order and each node's neighbours ascending.
+So a window reached by any append/evict history gives bit-identical
+tables.
 """
 
 from __future__ import annotations
@@ -40,7 +47,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graphs import UndirectedGraph
+from .. import perf
+from ..graphs.centrality import _betweenness, _closeness, csr_adjacency
 from .dtypes import VALUE_DTYPE
 from .featurespec import FeatureSpec
 
@@ -80,6 +88,16 @@ def user_rows(user_ids: np.ndarray, users: np.ndarray) -> np.ndarray:
     return np.where(user_ids[pos] == users, pos, user_ids.size - 1)
 
 
+def segments(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Flat indices of the ranges ``[starts[i], starts[i] + lengths[i])``,
+    concatenated in order."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if ends.size else 0
+    return np.arange(total, dtype=np.int64) + np.repeat(
+        starts - (ends - lengths), lengths
+    )
+
+
 def _runs(sorted_values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Start and length of each run of equal values."""
     starts = np.flatnonzero(
@@ -112,9 +130,8 @@ class WindowColumns:
     discussed-topic entry sums the topic mixtures of one user's posts in
     one thread and counts them; each user's entries are in thread
     arrival order.  Participation lists (user, thread) pairs where the
-    user asked or answered; repeats are allowed.  ``centralities`` are
-    the QA closeness and betweenness, then the dense ones, keyed by
-    graph node.
+    user asked or answered; repeats are allowed, and each thread there
+    is a held question whose asker takes part in it.
     """
 
     n_topics: int
@@ -134,9 +151,6 @@ class WindowColumns:
     disc_count: np.ndarray
     member_user: np.ndarray
     member_tid: np.ndarray
-    qa_graph: UndirectedGraph
-    dense_graph: UndirectedGraph
-    centralities: tuple[dict, dict, dict, dict]
     duration_hours: float
     n_threads: int
     fingerprint: str
@@ -148,7 +162,7 @@ class WindowColumns:
         """The columns of a streamed forum
         (:func:`~repro.forum.streaming.ingest_stream`): every row of its
         answer log and question store.  It has no post bodies or post
-        lists, so discussed topics, participation and graphs are empty."""
+        lists, so discussed topics and participation are empty."""
         k = log.n_topics
         timestamps = log.column("timestamp")
         created = questions.column("created_at")
@@ -171,9 +185,6 @@ class WindowColumns:
             disc_count=empty,
             member_user=empty,
             member_tid=empty,
-            qa_graph=UndirectedGraph(),
-            dense_graph=UndirectedGraph(),
-            centralities=({}, {}, {}, {}),
             duration_hours=max(
                 float(timestamps.max()) if timestamps.size else 0.0,
                 float(created.max()) if created.size else 0.0,
@@ -217,7 +228,7 @@ class BatchTables:
 class FrozenState:
     """The compiled window one extractor binds; read-only.
 
-    Every field is a fresh array (or the freeze's own graph), so later
+    Every field is a fresh array or a scalar, so later
     ``append``/``evict`` calls on the owning state never leak into an
     extractor already serving predictions.
     """
@@ -240,8 +251,10 @@ class FrozenState:
     question_tids: np.ndarray  # (Q + 1,) ascending, then the pad
     question_scalars: np.ndarray  # (Q + 1, 3) votes, word, code length
     question_topics: np.ndarray  # (Q + 1, K)
-    qa_graph: UndirectedGraph
-    dense_graph: UndirectedGraph
+    qa_indptr: np.ndarray  # G_QA as CSR: user row -> neighbour rows
+    qa_indices: np.ndarray
+    dense_indptr: np.ndarray  # G_D as CSR: user row -> neighbour rows
+    dense_indices: np.ndarray
     global_median_response: float
     duration_hours: float
     n_threads: int
@@ -304,10 +317,6 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
     askers, asked_counts = np.unique(
         np.asarray(cols.question_asker, dtype=np.int64), return_counts=True
     )
-    centralities = [
-        (id_array(c, len(c)), np.fromiter(c.values(), float, len(c)))
-        for c in cols.centralities
-    ]
     ids = unique(
         np.concatenate(
             [
@@ -315,11 +324,6 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
                 askers,
                 np.asarray(cols.disc_user, dtype=np.int64),
                 np.asarray(cols.member_user, dtype=np.int64),
-                *(
-                    id_array(g.nodes(), len(g))
-                    for g in (cols.qa_graph, cols.dense_graph)
-                ),
-                *(nodes for nodes, _ in centralities),
             ]
         )
     )
@@ -345,10 +349,6 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
     table[tbl_rows, 3] = tbl.median_rt
     table[:, 4 : 4 + k] = uniform
     table[tbl_rows, 4 : 4 + k] = tbl.d_u
-    # Social features (xv), (xvi), (xviii), (xix); the two RAI columns
-    # are filled from the extractor's asker memo.
-    for col, (nodes, values) in zip((0, 1, 3, 4), centralities):
-        table[user_rows(user_ids, nodes), c_social + col] = values
 
     # Topics discussed: per user, the entries summed in arrival order;
     # per entry, the user's topics with that thread left out.
@@ -398,8 +398,48 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
     thread_index = np.cumsum(first) - 1
     user_ptr = np.zeros(n_rows + 1, dtype=np.int64)
     np.cumsum(np.bincount(member_rows, minlength=n_rows), out=user_ptr[1:])
+    thread_ptr = np.append(np.flatnonzero(first), member_keys.size)
 
     by_tid = np.argsort(cols.question_tid, kind="stable")
+    question_tids = np.append(
+        np.asarray(cols.question_tid, dtype=np.int64)[by_tid], _ID_PAD
+    )
+    # The SLN graphs over the participants: per thread, each participant
+    # to the asker (from the question columns) and to every other one.
+    sizes = np.diff(thread_ptr)
+    thread_tids = member_keys[thread_ptr[:-1]] // n_rows
+    asker = np.asarray(cols.question_asker, dtype=np.int64)[by_tid][
+        question_tids.searchsorted(thread_tids)
+    ]
+    per_entry = np.repeat(sizes, sizes)
+    partner = member_rows[segments(np.repeat(thread_ptr[:-1], sizes), per_entry)]
+    qa_indptr, qa_indices = csr_adjacency(
+        n_rows, np.repeat(user_rows(user_ids, asker), sizes), member_rows
+    )
+    dense_indptr, dense_indices = csr_adjacency(
+        n_rows, np.repeat(member_rows, per_entry), partner
+    )
+    # Social features (xv), (xvi), (xviii), (xix), on the participants
+    # alone, in ascending id order; the two RAI columns are filled from
+    # the extractor's asker memo.
+    nodes = np.flatnonzero(np.diff(user_ptr))
+    rank = np.cumsum(np.diff(user_ptr) > 0) - 1
+    with perf.timer("state.centrality"):
+        for col, indptr, indices in (
+            (0, qa_indptr, qa_indices),
+            (3, dense_indptr, dense_indices),
+        ):
+            node_ptr = np.append(indptr[nodes], indptr[-1])
+            node_indices = rank[indices]
+            table[nodes, c_social + col] = _closeness(node_ptr, node_indices)
+            table[nodes, c_social + col + 1] = _betweenness(
+                node_ptr,
+                node_indices,
+                False,
+                cols.betweenness_sample_size,
+                cols.seed,
+            )
+
     question_scalars = np.asarray(cols.question_scalars, dtype=np.float64)
     question_topics = np.asarray(cols.question_topics, dtype=np.float64)
     return FrozenState(
@@ -414,21 +454,21 @@ def build_frozen(cols: WindowColumns) -> FrozenState:
         thread_hrow=thread_hrow,
         thread_disc=thread_disc,
         thread_member=thread_member,
-        thread_ptr=np.append(np.flatnonzero(first), member_keys.size),
+        thread_ptr=thread_ptr,
         thread_members=member_rows,
         user_ptr=user_ptr,
         user_threads=thread_index[np.argsort(member_rows, kind="stable")],
-        question_tids=np.append(
-            np.asarray(cols.question_tid, dtype=np.int64)[by_tid], _ID_PAD
-        ),
+        question_tids=question_tids,
         question_scalars=np.vstack(
             [question_scalars.reshape(-1, 3)[by_tid], np.zeros((1, 3))]
         ),
         question_topics=np.vstack(
             [question_topics.reshape(-1, k)[by_tid], np.zeros((1, k))]
         ),
-        qa_graph=cols.qa_graph,
-        dense_graph=cols.dense_graph,
+        qa_indptr=qa_indptr,
+        qa_indices=qa_indices,
+        dense_indptr=dense_indptr,
+        dense_indices=dense_indices,
         global_median_response=global_median,
         duration_hours=float(cols.duration_hours),
         n_threads=int(cols.n_threads),

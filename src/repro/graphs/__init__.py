@@ -1,11 +1,9 @@
 """Graph substrate: the Social Learning Network graphs and their metrics."""
 
 from .builders import (
-    EdgeMultiset,
     build_dense_graph,
     build_qa_graph,
     dense_links,
-    qa_links,
     thread_participants,
 )
 from .centrality import betweenness_centrality, closeness_centrality
@@ -20,15 +18,12 @@ from .link_metrics import (
     common_neighbors,
     jaccard_coefficient,
     resource_allocation_index,
-    resource_allocation_indices,
 )
 
 __all__ = [
-    "EdgeMultiset",
     "build_dense_graph",
     "build_qa_graph",
     "dense_links",
-    "qa_links",
     "thread_participants",
     "betweenness_centrality",
     "closeness_centrality",
@@ -40,5 +35,4 @@ __all__ = [
     "common_neighbors",
     "jaccard_coefficient",
     "resource_allocation_index",
-    "resource_allocation_indices",
 ]

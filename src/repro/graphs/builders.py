@@ -6,14 +6,10 @@
   thread (asker or answerer) is linked, so co-answerers connect too.
 
 Both builders consume thread participant tuples ``(asker, answerers)``
-so they stay decoupled from the forum data model.
-
-For streaming windows, :class:`EdgeMultiset` maintains the same link
-structure incrementally: each thread's links are reference-counted, so
-appending and later evicting a thread restores the exact edge set, and
-``version`` only advances when the *set* of present nodes or edges
-actually changes — consumers key centrality caches on it and skip
-recomputation when the topology is unchanged.
+so they stay decoupled from the forum data model.  They serve the
+offline graph statistics (Fig. 2, Fig. 4); a feature window's freeze
+builds the same graphs as arrays from its participation columns
+(:func:`repro.core.window.build_frozen`).
 """
 
 from __future__ import annotations
@@ -26,9 +22,7 @@ __all__ = [
     "build_qa_graph",
     "build_dense_graph",
     "thread_participants",
-    "qa_links",
     "dense_links",
-    "EdgeMultiset",
 ]
 
 ThreadParticipants = tuple[Hashable, Sequence[Hashable]]
@@ -43,14 +37,6 @@ def thread_participants(
         if answerer not in participants:
             participants.append(answerer)
     return participants
-
-
-def qa_links(
-    participants: Sequence[Hashable],
-) -> list[tuple[Hashable, Hashable]]:
-    """Asker-to-answerer links of one thread (participants asker-first)."""
-    asker = participants[0]
-    return [(asker, answerer) for answerer in participants[1:]]
 
 
 def dense_links(
@@ -84,95 +70,3 @@ def build_dense_graph(threads: Iterable[ThreadParticipants]) -> UndirectedGraph:
         for u, v in dense_links(participants):
             graph.add_edge(u, v)
     return graph
-
-
-class EdgeMultiset:
-    """Reference-counted node/edge sets with change tracking.
-
-    ``add_thread``/``remove_thread`` apply one thread's links (produced
-    by ``qa_links`` or ``dense_links``); a node or edge is *present*
-    while at least one live thread contributes it.  ``graph()`` returns
-    the present topology as an :class:`UndirectedGraph` built in
-    canonical (sorted) insertion order, so two multisets holding the
-    same threads yield bit-identical graphs regardless of the
-    add/remove history — a requirement for the incremental online loop
-    to reproduce the full-rebuild path exactly.
-    """
-
-    def __init__(self, link_fn):
-        self._link_fn = link_fn
-        self._node_count: dict[Hashable, int] = {}
-        self._edge_count: dict[tuple[Hashable, Hashable], int] = {}
-        self.version = 0
-        self._graph_cache: tuple[int, UndirectedGraph] | None = None
-
-    @staticmethod
-    def _key(u: Hashable, v: Hashable) -> tuple[Hashable, Hashable]:
-        return (u, v) if u <= v else (v, u)
-
-    def add_thread(
-        self, asker: Hashable, answerers: Sequence[Hashable]
-    ) -> None:
-        """Reference one thread's nodes and links."""
-        changed = False
-        participants = thread_participants(asker, answerers)
-        for node in participants:
-            count = self._node_count.get(node, 0)
-            self._node_count[node] = count + 1
-            changed |= count == 0
-        for u, v in self._link_fn(participants):
-            if u == v:
-                continue
-            key = self._key(u, v)
-            count = self._edge_count.get(key, 0)
-            self._edge_count[key] = count + 1
-            changed |= count == 0
-        if changed:
-            self.version += 1
-
-    def remove_thread(
-        self, asker: Hashable, answerers: Sequence[Hashable]
-    ) -> None:
-        """Drop one thread's references; present sets shrink at zero."""
-        changed = False
-        participants = thread_participants(asker, answerers)
-        for node in participants:
-            count = self._node_count[node] - 1
-            if count == 0:
-                del self._node_count[node]
-                changed = True
-            else:
-                self._node_count[node] = count
-        for u, v in self._link_fn(participants):
-            if u == v:
-                continue
-            key = self._key(u, v)
-            count = self._edge_count[key] - 1
-            if count == 0:
-                del self._edge_count[key]
-                changed = True
-            else:
-                self._edge_count[key] = count
-        if changed:
-            self.version += 1
-
-    @property
-    def num_nodes(self) -> int:
-        return len(self._node_count)
-
-    @property
-    def num_edges(self) -> int:
-        return len(self._edge_count)
-
-    def graph(self) -> UndirectedGraph:
-        """Canonical graph of the present nodes/edges (cached per version)."""
-        cached = self._graph_cache
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        graph = UndirectedGraph()
-        for node in sorted(self._node_count):
-            graph.add_node(node)
-        for u, v in sorted(self._edge_count):
-            graph.add_edge(u, v)
-        self._graph_cache = (self.version, graph)
-        return graph

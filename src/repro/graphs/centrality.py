@@ -34,23 +34,32 @@ _BLOCK = 256
 _WORDS = _BLOCK // 64
 
 
+def csr_adjacency(
+    n: int, u: np.ndarray, v: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Undirected CSR ``(indptr, indices)`` over nodes ``0..n-1`` from
+    the edges ``(u[i], v[i])``: repeats and self-loops dropped, each
+    node's neighbors in ascending index order."""
+    keep = np.tile(u != v, 2)
+    keys = np.sort(np.concatenate([u * n + v, v * n + u])[keep])
+    if keys.size:
+        keys = keys[np.r_[True, keys[1:] != keys[:-1]]]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    return indptr, keys % n
+
+
 def _csr(graph: UndirectedGraph) -> tuple[list, np.ndarray, np.ndarray]:
-    """Nodes in iteration order plus CSR ``(indptr, indices)`` adjacency,
-    each node's neighbors in ascending index order."""
+    """Nodes in iteration order plus their CSR adjacency, built from the
+    graph's edge list."""
     nodes = list(graph.nodes())
     index = {v: i for i, v in enumerate(nodes)}
-    degrees = np.fromiter(
-        (len(graph.neighbors(v)) for v in nodes), dtype=np.int64, count=len(nodes)
-    )
-    indptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    np.cumsum(degrees, out=indptr[1:])
-    indices = np.fromiter(
-        (index[w] for v in nodes for w in graph.neighbors(v)),
+    ends = np.fromiter(
+        (index[x] for edge in graph.edges() for x in edge),
         dtype=np.int64,
-        count=int(indptr[-1]),
+        count=2 * graph.num_edges,
     )
-    base = np.repeat(np.arange(len(nodes), dtype=np.int64) * len(nodes), degrees)
-    return nodes, indptr, np.sort(base + indices) - base
+    return nodes, *csr_adjacency(len(nodes), ends[0::2], ends[1::2])
 
 
 def closeness_centrality(graph: UndirectedGraph) -> dict[Hashable, float]:
@@ -61,12 +70,13 @@ def closeness_centrality(graph: UndirectedGraph) -> dict[Hashable, float]:
     of the depth times the number of sources that reach it there: an
     exact integer.
     """
-    return _closeness(_csr(graph))
+    nodes, indptr, indices = _csr(graph)
+    return dict(zip(nodes, _closeness(indptr, indices).tolist()))
 
 
-def _closeness(csr: tuple) -> dict[Hashable, float]:
-    nodes, indptr, indices = csr
-    n = len(nodes)
+def _closeness(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Closeness of every node of a CSR adjacency, by node index."""
+    n = indptr.size - 1
     # Isolated nodes reach no one.  Leaving them out makes every other
     # node's OR over its neighbors one non-empty reduceat segment.
     linked = np.diff(indptr) > 0
@@ -89,9 +99,8 @@ def _closeness(csr: tuple) -> dict[Hashable, float]:
             unseen ^= reached
             totals += depth * np.bitwise_count(reached).sum(axis=0, dtype=np.int64)
             frontier = reached
-    out = dict.fromkeys(nodes, 0.0)
-    for i, total in zip(np.flatnonzero(linked).tolist(), totals.tolist()):
-        out[nodes[i]] = (n - 1) / total
+    out = np.zeros(n)
+    out[linked] = (n - 1) / totals
     return out
 
 
@@ -147,14 +156,20 @@ def betweenness_centrality(
     subset of sources and rescaled by ``n / |sample|``.  Exact when the
     cap is None or at least the node count.
     """
-    return _betweenness(_csr(graph), normalized, sample_sources, seed)
+    nodes, indptr, indices = _csr(graph)
+    values = _betweenness(indptr, indices, normalized, sample_sources, seed)
+    return dict(zip(nodes, values.tolist()))
 
 
 def _betweenness(
-    csr: tuple, normalized: bool, sample_sources: int | None, seed: int
-) -> dict[Hashable, float]:
-    nodes, indptr, indices = csr
-    n = len(nodes)
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    normalized: bool,
+    sample_sources: int | None,
+    seed: int,
+) -> np.ndarray:
+    """Betweenness of every node of a CSR adjacency, by node index."""
+    n = indptr.size - 1
     adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
     scale_sources = 1.0
     if sample_sources is not None and 0 < sample_sources < n:
@@ -189,12 +204,4 @@ def _betweenness(
     scale = 0.5 * scale_sources
     if normalized and n > 2:
         scale /= (n - 1) * (n - 2) / 2.0
-    return {v: betweenness[i] * scale for i, v in enumerate(nodes)}
-
-
-def _closeness_and_betweenness(
-    graph: UndirectedGraph, sample_sources: int | None, seed: int
-) -> tuple[dict[Hashable, float], dict[Hashable, float]]:
-    """Both measures from one CSR build, for the refit path."""
-    csr = _csr(graph)
-    return _closeness(csr), _betweenness(csr, False, sample_sources, seed)
+    return betweenness * scale

@@ -8,13 +8,12 @@ when either node is absent from the graph).
 
 from __future__ import annotations
 
-from collections.abc import Hashable, Iterable
+from collections.abc import Hashable
 
 from .graph import UndirectedGraph
 
 __all__ = [
     "resource_allocation_index",
-    "resource_allocation_indices",
     "common_neighbors",
     "jaccard_coefficient",
 ]
@@ -28,33 +27,6 @@ def resource_allocation_index(
         return 0.0
     common = graph.neighbors(u) & graph.neighbors(v)
     return sum(1.0 / graph.degree(n) for n in common if graph.degree(n) > 0)
-
-
-def resource_allocation_indices(
-    graph: UndirectedGraph, pairs: Iterable[tuple[Hashable, Hashable]]
-) -> list[float]:
-    """Resource-allocation index for many node pairs at once.
-
-    Reuses inverse degrees across the whole batch, so featurizing a
-    block of (user, asker) pairs touches each common neighbor's degree
-    once instead of once per pair.
-    """
-    inv_degree: dict[Hashable, float] = {}
-    out: list[float] = []
-    for u, v in pairs:
-        if u not in graph or v not in graph:
-            out.append(0.0)
-            continue
-        total = 0.0
-        for n in graph.neighbors(u) & graph.neighbors(v):
-            inv = inv_degree.get(n)
-            if inv is None:
-                degree = graph.degree(n)
-                inv = 1.0 / degree if degree > 0 else 0.0
-                inv_degree[n] = inv
-            total += inv
-        out.append(total)
-    return out
 
 
 def common_neighbors(graph: UndirectedGraph, u: Hashable, v: Hashable) -> int:

@@ -17,17 +17,9 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro.core import build_extractor
-from repro.core.features import FeatureExtractor, PairBlocks
+from repro.core.features import PairBlocks
 from repro.core.serving.service import OnlineReport
-from repro.core.state import ForumState
-from repro.core.window import build_frozen
-from repro.forum.dataset import ForumDataset
 from repro.forum.models import Thread
-from repro.graphs import (
-    UndirectedGraph,
-    betweenness_centrality,
-    closeness_centrality,
-)
 
 from ..feature_oracle import scalar_matrix
 
@@ -39,47 +31,6 @@ def assert_equivalent(extractor, pairs):
     batch = extractor.feature_matrix(pairs)
     reference = scalar_matrix(extractor, pairs)
     np.testing.assert_allclose(batch, reference, rtol=0.0, atol=1e-12)
-
-
-def rebound(extractor, threads=None, **graphs):
-    """An extractor built from edited freeze columns: those of the
-    extractor's window (or of ``threads``), with ``graphs``
-    (``qa_graph``/``dense_graph``) swapped in and their centralities
-    recomputed."""
-    window = extractor.window if threads is None else ForumDataset(threads)
-    frozen = extractor.frozen
-    sample, seed = frozen.betweenness_sample_size, frozen.seed
-    columns = ForumState.from_dataset(window, extractor.topics).window_columns(
-        betweenness_sample_size=sample, seed=seed
-    )
-    columns = dataclasses.replace(columns, **graphs)
-    columns = dataclasses.replace(
-        columns,
-        centralities=tuple(
-            centrality
-            for graph in (columns.qa_graph, columns.dense_graph)
-            for centrality in (
-                closeness_centrality(graph),
-                betweenness_centrality(
-                    graph, sample_sources=sample, seed=seed
-                ),
-            )
-        ),
-    )
-    ex = FeatureExtractor.__new__(FeatureExtractor)
-    ex._bind(build_frozen(columns), extractor.topics, window)
-    return ex
-
-
-def relabelled(dataset, user, new_id):
-    """The window's threads with every post of ``user`` by ``new_id``."""
-    def post(p):
-        return dataclasses.replace(p, author=new_id) if p.author == user else p
-
-    return [
-        Thread(post(t.question), [post(a) for a in t.answers])
-        for t in dataset
-    ]
 
 
 def fresh_question(dataset, asker, offset=0):
@@ -258,7 +209,9 @@ class TestBlockEdgeCases:
     def test_asker_absent_from_both_graphs(self, extractor, dataset):
         """An unknown asker: no thread set, no graph node."""
         question = fresh_question(dataset, UNKNOWN)
-        assert UNKNOWN not in extractor.dense_graph
+        assert extractor._rows(np.array([UNKNOWN]))[0] == (
+            extractor.frozen.user_ids.size - 1
+        )
         pairs = block_pairs(dataset, question)
         x = extractor.feature_matrix(pairs)
         spec = extractor.spec
@@ -270,52 +223,20 @@ class TestBlockEdgeCases:
             assert not x[:, spec.columns_of(name)[0]].any()
         assert_equivalent(extractor, pairs)
 
-    @pytest.mark.parametrize(
-        "dropped, kept",
-        [("qa_graph", "dense_graph"), ("dense_graph", "qa_graph")],
-    )
-    def test_asker_absent_from_one_graph(
-        self, extractor, dataset, dropped, kept
-    ):
-        """The other graph's RAI survives while the dropped graph's
-        column falls to zero."""
+    def test_qa_rai_zero_where_dense_is_not(self, extractor, dataset):
+        """Every G_QA edge is a G_D edge, so a pair with a QA RAI has a
+        dense one; pairs linked only through co-answering have a dense
+        RAI and no QA RAI."""
         asker = busiest_asker(dataset)
-        graph = UndirectedGraph()
-        for u, v in getattr(extractor, dropped).edges():
-            if asker not in (u, v):
-                graph.add_edge(u, v)
-        ex = rebound(extractor, **{dropped: graph})
-        own = [t for t in dataset if t.asker == asker]
-        pairs = block_pairs(dataset, own[0])
-        pairs += block_pairs(dataset, fresh_question(dataset, asker))
-        x = ex.feature_matrix(pairs)
-        column = {
-            "qa_graph": "qa_resource_allocation",
-            "dense_graph": "dense_resource_allocation",
-        }
-        assert not x[:, ex.spec.columns_of(column[dropped])[0]].any()
-        assert x[:, ex.spec.columns_of(column[kept])[0]].any()
-        assert_equivalent(ex, pairs)
-
-    def test_asker_without_thread_set(self, extractor, dataset):
-        """An asker with graph edges but no thread in the window: its
-        posts are relabelled away from the columns, the graphs kept."""
-        asker = busiest_asker(dataset)
-        ex = rebound(
-            extractor,
-            relabelled(dataset, asker, UNKNOWN + 100),
-            qa_graph=extractor.qa_graph,
-            dense_graph=extractor.dense_graph,
-        )
-        row = ex._rows(np.array([asker]))[0]
-        assert row < ex.frozen.user_ids.size - 1  # a graph node
-        assert ex.frozen.user_ptr[row] == ex.frozen.user_ptr[row + 1]
         own = next(t for t in dataset if t.asker == asker)
         pairs = block_pairs(dataset, own)
         pairs += block_pairs(dataset, fresh_question(dataset, asker))
-        x = ex.feature_matrix(pairs)
-        assert not x[:, ex.spec.columns_of("thread_cooccurrence")[0]].any()
-        assert_equivalent(ex, pairs)
+        x = extractor.feature_matrix(pairs)
+        qa = x[:, extractor.spec.columns_of("qa_resource_allocation")[0]]
+        dense = x[:, extractor.spec.columns_of("dense_resource_allocation")[0]]
+        assert ((qa == 0) & (dense > 0)).any()
+        assert not ((qa > 0) & (dense == 0)).any()
+        assert_equivalent(extractor, pairs)
 
     def test_duplicate_answerer_on_in_window_thread(
         self, dataset, predictor_config

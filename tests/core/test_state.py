@@ -16,7 +16,6 @@ from repro.core.state import ForumState, FrozenState
 from repro.core.topic_context import TopicModelContext
 from repro.forum.dataset import ForumDataset
 from repro.forum.models import Thread
-from repro.graphs import UndirectedGraph
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +30,6 @@ def assert_frozen_equal(a, b):
         if isinstance(x, np.ndarray):
             assert x.dtype == y.dtype, field.name
             np.testing.assert_array_equal(x, y, err_msg=field.name)
-        elif isinstance(x, UndirectedGraph):
-            assert list(x.nodes()) == list(y.nodes()), field.name
-            assert sorted(x.edges()) == sorted(y.edges()), field.name
         elif dataclasses.is_dataclass(x):  # the history segments
             assert_frozen_equal(x, y)
         else:

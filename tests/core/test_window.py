@@ -12,7 +12,6 @@ from repro.core.window import WindowColumns, build_frozen
 from repro.forum import ForumConfig, ForumDataset
 from repro.forum.models import Post, Thread
 from repro.forum.streaming import ingest_stream
-from repro.graphs import UndirectedGraph
 
 STREAM_CONFIG = ForumConfig(
     n_users=300, n_questions=400, n_topics=4, activity_tail=1.3
@@ -93,9 +92,6 @@ def random_columns(seed, n_rows, n_entries, k=3):
         disc_count=rng.integers(1, 3, n_entries),
         member_user=empty,
         member_tid=empty,
-        qa_graph=UndirectedGraph(),
-        dense_graph=UndirectedGraph(),
-        centralities=({}, {}, {}, {}),
         duration_hours=0.0,
         n_threads=0,
         fingerprint="",

@@ -3,9 +3,9 @@
 The test oracle for :meth:`FeatureExtractor.feature_matrix`.  It
 rebuilds the window from ``extractor.window``'s threads and the topic
 cache (each user's answer history, discussed topics, questions asked
-and thread participation) and its centralities from the extractor's
-two graphs, then follows the paper's feature definitions (Sec. II-B)
-pair by pair.  It reads none of the compiled tables, so it shares no
+and thread participation) and the two SLN graphs from the threads'
+participants with the offline builders, then follows the paper's
+feature definitions (Sec. II-B) pair by pair.  It reads none of the compiled tables, so it shares no
 code with the block kernel it checks.  The two agree element-wise to
 floating-point roundoff (``atol=1e-12``).
 """
@@ -18,10 +18,32 @@ import numpy as np
 
 from repro.core.state import question_info_from_thread
 from repro.graphs import (
+    UndirectedGraph,
     betweenness_centrality,
+    build_dense_graph,
+    build_qa_graph,
     closeness_centrality,
     resource_allocation_index,
 )
+
+
+def canonical(graph: UndirectedGraph) -> UndirectedGraph:
+    """``graph`` with its nodes inserted in ascending id order, the node
+    order of the freeze's graphs (sampled betweenness draws its sources
+    by node index)."""
+    out = UndirectedGraph()
+    for node in sorted(graph.nodes()):
+        out.add_node(node)
+    out.add_edges(graph.edges())
+    return out
+
+
+def window_graphs(window) -> tuple[UndirectedGraph, UndirectedGraph]:
+    """``G_QA`` and ``G_D`` of a window's threads, in canonical order."""
+    tuples = window.participant_tuples()
+    return canonical(build_qa_graph(tuples)), canonical(
+        build_dense_graph(tuples)
+    )
 
 
 def _tv_similarity(p: np.ndarray, q: np.ndarray) -> float:
@@ -63,6 +85,7 @@ class _Window:
         self.global_median = (
             float(np.median(response_times)) if response_times else 1.0
         )
+        self.graphs = window_graphs(extractor.window)
         self.centralities = [
             (
                 closeness_centrality(graph),
@@ -72,7 +95,7 @@ class _Window:
                     seed=frozen.seed,
                 ),
             )
-            for graph in (extractor.qa_graph, extractor.dense_graph)
+            for graph in self.graphs
         ]
 
     def topics_discussed(self, uniform, user: int, exclude_thread: int):
@@ -129,6 +152,7 @@ def scalar_features(extractor, user: int, thread, window=None) -> np.ndarray:
     )
     h_uv = float(len(shared - {tid}))
     (qa_clo, qa_bet), (dense_clo, dense_bet) = window.centralities
+    qa_graph, dense_graph = window.graphs
     return np.concatenate(
         [
             [n_answers, answer_ratio, votes_sum, median_rt],
@@ -143,10 +167,10 @@ def scalar_features(extractor, user: int, thread, window=None) -> np.ndarray:
                 h_uv,
                 qa_clo.get(user, 0.0),
                 qa_bet.get(user, 0.0),
-                resource_allocation_index(extractor.qa_graph, user, asker),
+                resource_allocation_index(qa_graph, user, asker),
                 dense_clo.get(user, 0.0),
                 dense_bet.get(user, 0.0),
-                resource_allocation_index(extractor.dense_graph, user, asker),
+                resource_allocation_index(dense_graph, user, asker),
             ],
         ]
     ).astype(float)
