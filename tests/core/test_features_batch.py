@@ -17,20 +17,66 @@ from hypothesis import strategies as st
 
 from repro import perf
 from repro.core import build_extractor
-from repro.core.features import PairBlocks
+from repro.core.features import FeatureExtractor, PairBlocks
 from repro.core.serving.service import OnlineReport
+from repro.core.window import user_rows
 from repro.forum.models import Thread
+from repro.graphs import (
+    UndirectedGraph,
+    betweenness_centrality,
+    closeness_centrality,
+)
+from repro.graphs.centrality import csr_adjacency
 
-from ..feature_oracle import scalar_matrix
+from ..feature_oracle import scalar_matrix, window_graphs
 
 UNKNOWN = 10**7
 FRESH_ID_BASE = 50_000
 
 
-def assert_equivalent(extractor, pairs):
+def assert_equivalent(extractor, pairs, graphs=None):
     batch = extractor.feature_matrix(pairs)
-    reference = scalar_matrix(extractor, pairs)
+    reference = scalar_matrix(extractor, pairs, graphs)
     np.testing.assert_allclose(batch, reference, rtol=0.0, atol=1e-12)
+
+
+def with_graphs(extractor, graphs):
+    """An extractor over the same freeze with ``graphs`` (``G_QA``,
+    ``G_D`` on the window's node set) swapped in: their CSR arrays and
+    centrality columns replaced."""
+    frozen = extractor.frozen
+    n_rows = frozen.user_ids.size
+    table = frozen.row_table.copy()
+    csr = {}
+    for prefix, graph in zip(("qa", "dense"), graphs):
+        ends = np.array(list(graph.edges()), dtype=np.int64).reshape(-1, 2)
+        rows = user_rows(frozen.user_ids, ends.ravel()).reshape(-1, 2)
+        csr[f"{prefix}_indptr"], csr[f"{prefix}_indices"] = csr_adjacency(
+            n_rows, rows[:, 0], rows[:, 1]
+        )
+        for name, values in (
+            ("closeness", closeness_centrality(graph)),
+            (
+                "betweenness",
+                betweenness_centrality(
+                    graph,
+                    sample_sources=frozen.betweenness_sample_size,
+                    seed=frozen.seed,
+                ),
+            ),
+        ):
+            col = extractor.spec.columns_of(f"{prefix}_{name}")[0]
+            users = np.array(list(values), dtype=np.int64)
+            table[user_rows(frozen.user_ids, users), col] = list(
+                values.values()
+            )
+    ex = FeatureExtractor.__new__(FeatureExtractor)
+    ex._bind(
+        dataclasses.replace(frozen, row_table=table, **csr),
+        extractor.topics,
+        extractor.window,
+    )
+    return ex
 
 
 def fresh_question(dataset, asker, offset=0):
@@ -222,6 +268,40 @@ class TestBlockEdgeCases:
         ):
             assert not x[:, spec.columns_of(name)[0]].any()
         assert_equivalent(extractor, pairs)
+
+    @pytest.mark.parametrize(
+        "dropped, kept",
+        [("qa_graph", "dense_graph"), ("dense_graph", "qa_graph")],
+    )
+    def test_asker_absent_from_one_graph(
+        self, extractor, dataset, dropped, kept
+    ):
+        """The other graph's RAI survives while the dropped graph's
+        column falls to zero.  The window's own graphs never drop an
+        asker from one graph alone (every G_QA edge is a G_D edge, and
+        every G_D node has a G_QA edge), so the asker's edges are cut
+        from one graph after the freeze."""
+        asker = busiest_asker(dataset)
+        names = ("qa_graph", "dense_graph")
+        graphs = dict(zip(names, window_graphs(extractor.window)))
+        graph = UndirectedGraph()
+        for node in graphs[dropped].nodes():
+            graph.add_node(node)
+        graph.add_edges(e for e in graphs[dropped].edges() if asker not in e)
+        graphs[dropped] = graph
+        graphs = tuple(graphs[name] for name in names)
+        ex = with_graphs(extractor, graphs)
+        own = [t for t in dataset if t.asker == asker]
+        pairs = block_pairs(dataset, own[0])
+        pairs += block_pairs(dataset, fresh_question(dataset, asker))
+        x = ex.feature_matrix(pairs)
+        column = {
+            "qa_graph": "qa_resource_allocation",
+            "dense_graph": "dense_resource_allocation",
+        }
+        assert not x[:, ex.spec.columns_of(column[dropped])[0]].any()
+        assert x[:, ex.spec.columns_of(column[kept])[0]].any()
+        assert_equivalent(ex, pairs, graphs)
 
     def test_qa_rai_zero_where_dense_is_not(self, extractor, dataset):
         """Every G_QA edge is a G_D edge, so a pair with a QA RAI has a

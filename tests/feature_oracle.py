@@ -53,7 +53,7 @@ def _tv_similarity(p: np.ndarray, q: np.ndarray) -> float:
 class _Window:
     """Per-user quantities of the extractor's window, from its threads."""
 
-    def __init__(self, extractor):
+    def __init__(self, extractor, graphs=None):
         topics = extractor.topics
         frozen = extractor.frozen
         # user -> [(thread id, question topics, votes, response time,
@@ -85,7 +85,7 @@ class _Window:
         self.global_median = (
             float(np.median(response_times)) if response_times else 1.0
         )
-        self.graphs = window_graphs(extractor.window)
+        self.graphs = graphs or window_graphs(extractor.window)
         self.centralities = [
             (
                 closeness_centrality(graph),
@@ -176,9 +176,10 @@ def scalar_features(extractor, user: int, thread, window=None) -> np.ndarray:
     ).astype(float)
 
 
-def scalar_matrix(extractor, pairs) -> np.ndarray:
-    """Oracle rows for many pairs, stacked in input order."""
-    window = _Window(extractor)
+def scalar_matrix(extractor, pairs, graphs=None) -> np.ndarray:
+    """Oracle rows for many pairs, stacked in input order; ``graphs``
+    replaces the window's ``(G_QA, G_D)`` when given."""
+    window = _Window(extractor, graphs)
     return np.stack(
         [scalar_features(extractor, u, t, window) for u, t in pairs]
     )
