@@ -120,6 +120,11 @@ class MatrixFactorization:
         g_rb, g_cb, g_rf, g_cf = _views(grad, n_rows, k)
         opt = Adam(learning_rate=self.learning_rate)
         scale = 2.0 / n_obs
+        # Flat (index, factor) keys of the factor gradients, row-major
+        # like the factor arrays.
+        factor = np.arange(k)
+        row_keys = (rows[:, None] * k + factor).ravel()
+        col_keys = (cols[:, None] * k + factor).ravel()
         self.loss_history_ = []
         for _ in range(self.n_iter):
             rf = row_factors[rows]
@@ -134,13 +139,16 @@ class MatrixFactorization:
             mse = float(np.mean(err * err))
             self.loss_history_.append(mse)
             # bincount adds each bucket's terms in input order from
-            # zero, as np.add.at does; one call per gradient column.
+            # zero, as np.add.at does; one call per parameter array.
             err *= scale
             g_rb[...] = np.bincount(rows, err, minlength=n_rows)
             g_cb[...] = np.bincount(cols, err, minlength=n_cols)
-            for f in range(k):
-                g_rf[:, f] = np.bincount(rows, err * cf[:, f], minlength=n_rows)
-                g_cf[:, f] = np.bincount(cols, err * rf[:, f], minlength=n_cols)
+            g_rf[...] = np.bincount(
+                row_keys, (err[:, None] * cf).ravel(), n_rows * k
+            ).reshape(n_rows, k)
+            g_cf[...] = np.bincount(
+                col_keys, (err[:, None] * rf).ravel(), n_cols * k
+            ).reshape(n_cols, k)
             grad += self.l2 * theta / n_obs
             opt.step([theta], [grad])
         self.row_bias_, self.col_bias_ = row_bias, col_bias

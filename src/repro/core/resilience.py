@@ -12,7 +12,8 @@ can die halfway through.  This module makes that messiness first-class:
 * :class:`StreamGuard` — the per-event ingestion gate of the online
   loop: unparseable events are quarantined (bounded queue), repairable
   ones are repaired in place (late arrivals clamped onto the stream
-  clock, non-finite fields dropped or coerced, duplicates deduplicated),
+  clock, non-finite fields dropped or coerced, duplicates deduplicated,
+  answers whose author is no valid id dropped),
   and every action lands in a :class:`DegradationReport`.
 * :class:`ResilienceConfig` — knobs for the guard plus the bounded
   retry-with-backoff / snapshot-fallback policy the serving core wraps
@@ -54,6 +55,7 @@ import numpy as np
 from .. import perf
 from ..forum.dataset import ForumDataset
 from ..forum.models import Post, Thread
+from .dtypes import IdOverflowError, check_id
 
 __all__ = [
     "FAULT_KINDS",
@@ -467,6 +469,17 @@ class StreamGuard:
                     thread.thread_id,
                     "repaired:early_answer_dropped",
                     f"answer {answer.post_id} predates its question",
+                )
+                changed = True
+                continue
+            try:
+                check_id(answer.author, "answer author")
+            except IdOverflowError as err:
+                self.report.add(
+                    seq,
+                    thread.thread_id,
+                    "repaired:answer_invalid_author_dropped",
+                    f"answer {answer.post_id}: {err}",
                 )
                 changed = True
                 continue

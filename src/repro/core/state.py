@@ -59,7 +59,7 @@ from ..forum.dataset import ForumDataset, fingerprint_threads
 from ..forum.models import Thread
 from ..topics.tokenizer import split_text_and_code
 from .columnar import AnswerLog
-from .dtypes import VALUE_DTYPE
+from .dtypes import VALUE_DTYPE, ensure_ids
 from .topic_context import TopicModelContext
 from .window import (
     ANSWER_COLUMNS,
@@ -230,7 +230,9 @@ class ForumState:
         The thread joins the thread map and the clock at once, and its
         listeners hear of it at once.  Its uncached posts are encoded
         at once too, so a body that cannot be tokenized fails here, on
-        the event that carried it, and leaves the state unchanged.  The
+        the event that carried it, and leaves the state unchanged; so
+        does an answer author outside the answer log's ``int32`` ids
+        (the loaders' anonymous -1 is valid for askers only).  The
         topic-dependent fold waits in a queue for :meth:`_settle`.
         """
         tid = thread.thread_id
@@ -241,6 +243,7 @@ class ForumState:
                 "threads must be appended in chronological order "
                 f"(got {thread.created_at} after {self._last_created})"
             )
+        ensure_ids([a.author for a in thread.answers], "answer author")
         with perf.timer("state.append"):
             encoded = self.topics.encode_uncached(thread.posts)
             self._last_created = thread.created_at
@@ -251,8 +254,8 @@ class ForumState:
             perf.incr("state.docs_deferred", len(encoded))
             if self._pending_docs >= _SETTLE_DOCS:
                 self._settle()
-        for listener in self._listeners:
-            listener.on_append(thread)
+            for listener in self._listeners:
+                listener.on_append(thread)
         perf.incr("state.threads_appended")
 
     def _settle(self) -> None:

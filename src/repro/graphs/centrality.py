@@ -11,8 +11,11 @@ once over a CSR adjacency — the per-refit centrality recompute of the
 online loop is the hot path here.  Closeness packs 64 sources into each
 bit of a ``uint64`` word per node (MS-BFS, Then et al., VLDB 2015), so a
 level is one gather, one OR per node and a popcount.  Betweenness needs
-Brandes' path counts: its forward pass is one sparse product per level,
-and its dependency accumulation one ``bincount`` per level.
+Brandes' path counts: its forward pass expands each frontier by CSR
+gathers and keeps the edges to unreached nodes as the level's successor
+list, so its dependency pass is one gather and one ``bincount`` per
+level with no second expansion.  Path counts are integers summed in
+``float64``, hence exact in any order while below 2**53.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ import itertools
 from collections.abc import Hashable
 
 import numpy as np
-from scipy.sparse import csr_matrix
 
 from .graph import UndirectedGraph
 
@@ -104,40 +106,6 @@ def _closeness(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return out
 
 
-def _bfs_block(
-    adjacency: csr_matrix, sources: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, list[tuple[np.ndarray, ...]]]:
-    """Level-synchronous BFS from a block of sources at once.
-
-    Returns the distances (-1 unreachable) and shortest-path counts
-    ``sigma``, both flat over ``source_row * n + node`` keys, and each
-    level's ``(keys, nodes, sigma)``.
-    """
-    b, n = len(sources), adjacency.shape[0]
-    rows = np.arange(b, dtype=np.int64)
-    dist = np.full(b * n, -1, dtype=np.int64)
-    sigma = np.zeros(b * n)
-    keys, counts = rows * n + sources, np.ones(b)
-    dist[keys] = 0
-    sigma[keys] = counts
-    levels = [(keys, sources, counts)]
-    frontier = csr_matrix((counts, sources, np.arange(b + 1)), (b, n))
-    for depth in itertools.count(1):
-        # Row s of the product sums, for each node, the path counts of
-        # its neighbors on the last level; the unseen ones form the next.
-        product = frontier @ adjacency
-        keys = np.repeat(rows * n, np.diff(product.indptr)) + product.indices
-        fresh = dist[keys] < 0
-        if not fresh.any():
-            return dist, sigma, levels
-        keys, nodes, counts = keys[fresh], product.indices[fresh], product.data[fresh]
-        dist[keys] = depth
-        sigma[keys] = counts
-        levels.append((keys, nodes, counts))
-        indptr = np.concatenate(([0], np.cumsum(fresh)))[product.indptr]
-        frontier = csr_matrix((counts, nodes, indptr), (b, n))
-
-
 def betweenness_centrality(
     graph: UndirectedGraph,
     *,
@@ -170,7 +138,7 @@ def _betweenness(
 ) -> np.ndarray:
     """Betweenness of every node of a CSR adjacency, by node index."""
     n = indptr.size - 1
-    adjacency = csr_matrix((np.ones(len(indices)), indices, indptr), shape=(n, n))
+    degrees = np.diff(indptr)
     scale_sources = 1.0
     if sample_sources is not None and 0 < sample_sources < n:
         rng = np.random.default_rng(seed)
@@ -179,28 +147,50 @@ def _betweenness(
     else:
         source_ids = np.arange(n, dtype=np.int64)
     betweenness = np.zeros(n)
+    # slot[key] names the entry of a level's successor list that stands
+    # for the key; only just-written slots are read, so it is never reset.
+    slot = np.empty(min(len(source_ids), _BLOCK) * n, dtype=np.int64)
     for start in range(0, len(source_ids), _BLOCK):
         sources = np.asarray(source_ids[start : start + _BLOCK], dtype=np.int64)
-        dist, sigma, levels = _bfs_block(adjacency, sources)
-        delta = np.zeros_like(sigma)
-        # Dependency accumulation, deepest level first; a node's
-        # successors sit one level deeper.  Its neighbors come in
-        # ascending order and bincount adds in input order, so each node
+        b = len(sources)
+        # Flat (source_row, node) keys; sigma 0 marks an unreached key.
+        sigma = np.zeros(b * n)
+        keys, nodes = np.arange(b, dtype=np.int64) * n + sources, sources
+        level_sigma = np.ones(b)
+        sigma[keys] = level_sigma
+        levels = []
+        while True:
+            # Every edge leaving the frontier, each frontier entry's
+            # neighbors in ascending CSR order; the unreached ends, tested
+            # before this level is written, are its successor edges.
+            counts = degrees[nodes]
+            owner = np.repeat(np.arange(len(keys)), counts)
+            first = indptr[nodes] - (np.cumsum(counts) - counts)
+            ends = indices[first[owner] + np.arange(len(owner))]
+            succ = (keys - nodes)[owner] + ends
+            fresh = np.flatnonzero(sigma[succ] == 0)
+            if not fresh.size:
+                break
+            owner, succ, ends = owner[fresh], succ[fresh], ends[fresh]
+            levels.append((keys, level_sigma, owner, succ))
+            # One entry per distinct successor (whichever write won)
+            # collects the path counts of all its parents.
+            entry = np.arange(len(succ))
+            slot[succ] = entry
+            rep = slot[succ]
+            won = np.flatnonzero(rep == entry)
+            level_sigma = np.bincount(rep, level_sigma[owner], len(succ))[won]
+            keys, nodes = succ[won], ends[won]
+            sigma[keys] = level_sigma
+        # Dependency accumulation, deepest level first, over the stored
+        # successor edges.  bincount adds in input order, so each node
         # sums its successors' shares in ascending successor order.  A
         # source's own dependency is not counted, so level 0 is skipped.
-        for depth in range(len(levels) - 2, 0, -1):
-            keys, level_nodes, level_sigma = levels[depth]
-            degrees = indptr[level_nodes + 1] - indptr[level_nodes]
-            owner = np.repeat(np.arange(len(keys)), degrees)
-            first = indptr[level_nodes] - (np.cumsum(degrees) - degrees)
-            succ = (keys - level_nodes)[owner] + indices[
-                first[owner] + np.arange(len(owner))
-            ]
-            hit = dist[succ] == depth + 1
-            owner, succ = owner[hit], succ[hit]
+        delta = np.zeros_like(sigma)
+        for keys, level_sigma, owner, succ in levels[:0:-1]:
             share = level_sigma[owner] * (1.0 + delta[succ]) / sigma[succ]
             delta[keys] = np.bincount(owner, share, minlength=len(keys))
-        betweenness += delta.reshape(len(sources), n).sum(axis=0)
+        betweenness += delta.reshape(b, n).sum(axis=0)
     scale = 0.5 * scale_sources
     if normalized and n > 2:
         scale /= (n - 1) * (n - 2) / 2.0

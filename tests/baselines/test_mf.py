@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from repro.baselines.mf import MatrixFactorization
 from repro.ml.metrics import rmse
 
-from .mf_oracle import AddAtMatrixFactorization
+from .mf_oracle import AddAtMatrixFactorization, PerColumnMatrixFactorization
 
 
 def low_rank_data(n_rows=40, n_cols=30, k=3, noise=0.1, seed=0):
@@ -113,6 +113,20 @@ def test_fit_matches_add_at_oracle(problem, seed):
         np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
     assert got.loss_history_ == want.loss_history_
     assert got.global_mean_ == want.global_mean_
+
+
+@settings(max_examples=40, deadline=None)
+@given(mf_problems(), st.integers(0, 3))
+def test_fit_matches_per_column_oracle(problem, seed):
+    """One bincount per factor array over flat (index, factor) keys
+    reproduces one bincount per factor column bit for bit."""
+    (n_rows, n_cols, n_factors), data, _ = problem
+    kwargs = dict(n_factors=n_factors, n_iter=12, seed=seed)
+    got = MatrixFactorization(n_rows, n_cols, **kwargs).fit(*data)
+    want = PerColumnMatrixFactorization(n_rows, n_cols, **kwargs).fit(*data)
+    for name in ("row_bias_", "col_bias_", "row_factors_", "col_factors_"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+    assert got.loss_history_ == want.loss_history_
 
 
 class TestValidation:

@@ -8,6 +8,7 @@ what the hardened replay did about it.
 """
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -293,6 +294,26 @@ class TestDifferentialHarness:
         assert resilient.routed_scores == plain_report.routed_scores
         assert resilient.degradation is not None
         assert resilient.degradation.ok
+
+    def test_anonymous_answer_dropped_on_its_own_event(
+        self, stream_dataset, plain_report
+    ):
+        """An answer by the loaders' anonymous -1 is dropped with one
+        degradation record, and every refit of the guarded replay goes
+        through."""
+        threads = list(stream_dataset)
+        i = next(
+            i for i in range(len(threads) // 2, len(threads)) if threads[i].answers
+        )
+        bad = threads[i]
+        threads[i] = Thread(
+            bad.question, [replace(bad.answers[0], author=-1), *bad.answers[1:]]
+        )
+        report = run_resilient(ForumDataset(threads))
+        assert [r.action for r in report.degradation.records] == [
+            "repaired:answer_invalid_author_dropped"
+        ]
+        assert report.n_refits == plain_report.n_refits
 
     def test_zero_fault_plan_matches_no_injector(
         self, stream_dataset, plain_report

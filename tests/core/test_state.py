@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from repro.core import FeatureExtractor
 from repro.core import state as state_module
+from repro.core.dtypes import IdOverflowError
 from repro.core.state import ForumState, FrozenState
 from repro.core.topic_context import TopicModelContext
 from repro.forum.dataset import ForumDataset
@@ -142,6 +143,30 @@ class TestAppendInference:
         assert frozen.question_tids[:-1].tolist() == sorted(
             [first.thread_id, after.thread_id]
         )
+
+    def test_anonymous_answer_fails_at_its_own_append(
+        self, dataset, half_topics
+    ):
+        """An answer by the loaders' anonymous -1 raises on the append
+        that carried it and leaves the state as it was, so later reads
+        go through."""
+        half = len(dataset) // 2
+        first, bad = dataset.threads[half], next(
+            t for t in dataset.threads[half + 1 :] if t.answers
+        )
+        anonymous = Thread(
+            bad.question,
+            [replace(bad.answers[0], author=-1), *bad.answers[1:]],
+        )
+        state = ForumState(fresh_context(half_topics))
+        state.append(first)
+        with pytest.raises(IdOverflowError):
+            state.append(anonymous)
+        assert anonymous.thread_id not in state
+        assert len(state) == 1
+        frozen = state.freeze(betweenness_sample_size=50, seed=0)
+        assert frozen.question_tids[:-1].tolist() == [first.thread_id]
+        assert state.num_answers == len(first.answers)
 
 
 # Operations of the settle property; appends are drawn most often so

@@ -393,7 +393,8 @@ _SELF_ANSWER = [_question(), _answer(author="10")]
 class TestPostsXmlFuzz:
     """``load_posts_xml`` on hostile dumps either raises a typed error or
     yields threads a fresh ``StreamGuard`` admits unchanged, in order,
-    with no degradation record."""
+    with no degradation record, except that each answer by the anonymous
+    -1 (no ``OwnerUserId``) is dropped with one record."""
 
     @pytest.fixture(scope="class")
     def workdir(self, tmp_path_factory):
@@ -423,9 +424,19 @@ class TestPostsXmlFuzz:
         except (ValueError, ET.ParseError):
             return
         guard = StreamGuard()
+        anonymous = 0
         for thread in dataset.threads:
-            assert guard.admit(thread) is thread
-        assert guard.report.records == []
+            named = [a for a in thread.answers if a.author != -1]
+            admitted = guard.admit(thread)
+            if len(named) == len(thread.answers):
+                assert admitted is thread
+            else:
+                assert admitted.question is thread.question
+                assert admitted.answers == named
+                anonymous += len(thread.answers) - len(named)
+        assert [r.action for r in guard.report.records] == [
+            "repaired:answer_invalid_author_dropped"
+        ] * anonymous
 
     @pytest.mark.parametrize(
         "rows, message",

@@ -3,10 +3,11 @@
 A level-synchronous BFS that expands every edge leaving a 256-source
 block's frontier with NumPy gathers, finds each level's nodes through a
 dense block x n mask and accumulates path counts and dependencies with
-``np.add.at``.  The library instead runs its forward pass as sparse
-products and accumulates with ``bincount``; both add each node's
-successor shares in ascending successor order, so they must agree bit
-for bit.  Source sampling and blocking are the library's.
+``np.add.at``.  The library instead keeps each level's successor edges
+from its forward pass, sums path counts over flat (source, node) keys
+and accumulates with ``bincount``; both add each node's successor shares
+in ascending successor order, so they must agree bit for bit.  Source
+sampling and blocking are the library's.
 """
 
 from __future__ import annotations

@@ -155,6 +155,79 @@ class TestMatchesOracles:
         )
 
 
+def path_graph(n):
+    g = UndirectedGraph()
+    g.add_edges((i, i + 1) for i in range(n - 1))
+    return g
+
+
+def star_graph(leaves):
+    g = UndirectedGraph()
+    g.add_edges((0, leaf) for leaf in range(1, leaves + 1))
+    return g
+
+
+def layered_bipartite(width, depth):
+    """Layers of ``width`` nodes, each complete to the next: a node of
+    layer d has ``width`` parents and ``width**d`` shortest paths from
+    a node of layer 0."""
+    g = UndirectedGraph()
+    for d in range(depth - 1):
+        g.add_edges(
+            (d * width + i, (d + 1) * width + j)
+            for i in range(width)
+            for j in range(width)
+        )
+    return g
+
+
+def sln_graph(n_threads, n_users, n_askers, seed):
+    """A dense-graph shape: each thread a clique over its asker (from a
+    small pool, so threads share askers) and a few answerers."""
+    rng = np.random.default_rng(seed)
+    g = UndirectedGraph()
+    for _ in range(n_threads):
+        asker = int(rng.integers(n_askers))
+        answerers = rng.choice(n_users, size=int(rng.integers(1, 6)), replace=False)
+        members = sorted({asker, *(int(u) for u in answerers)})
+        g.add_edges(
+            (u, v) for i, u in enumerate(members) for v in members[i + 1 :]
+        )
+    return g
+
+
+class TestExplicitShapes:
+    """Graphs the random ones rarely draw, against the oracle bit for bit."""
+
+    @pytest.mark.parametrize(
+        "graph",
+        [
+            path_graph(300),  # one node per frontier, many levels
+            star_graph(400),
+            layered_bipartite(6, 9),  # 6**8 = 1,679,616 paths end to end
+            sln_graph(400, 500, 40, seed=3),
+        ],
+        ids=["path", "star", "layered_bipartite", "sln"],
+    )
+    @pytest.mark.parametrize("sample", [None, 257, 20])
+    def test_betweenness(self, graph, sample):
+        kwargs = dict(sample_sources=sample, seed=11)
+        assert_bit_identical(
+            betweenness_centrality(graph, **kwargs),
+            reference_betweenness(graph, **kwargs),
+        )
+
+    def test_path_counts_in_the_millions(self):
+        # Layer 8 is reached from a node of layer 0 by 6**8 paths; the
+        # float64 path counts stay exact, so only the dependency sums
+        # round.
+        g = layered_bipartite(6, 9)
+        theirs = nx.betweenness_centrality(to_nx(g), normalized=False)
+        ours = betweenness_centrality(g)
+        for node in g.nodes():
+            assert ours[node] == pytest.approx(theirs[node], rel=1e-12)
+
+
 class TestCloseness:
     def test_star_center(self):
         g = UndirectedGraph()
