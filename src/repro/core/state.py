@@ -59,7 +59,7 @@ from ..forum.dataset import ForumDataset, fingerprint_threads
 from ..forum.models import Thread
 from ..topics.tokenizer import split_text_and_code
 from .columnar import AnswerLog
-from .dtypes import VALUE_DTYPE, ensure_ids
+from .dtypes import VALUE_DTYPE, check_id
 from .topic_context import TopicModelContext
 from .window import (
     ANSWER_COLUMNS,
@@ -243,7 +243,8 @@ class ForumState:
                 "threads must be appended in chronological order "
                 f"(got {thread.created_at} after {self._last_created})"
             )
-        ensure_ids([a.author for a in thread.answers], "answer author")
+        for answer in thread.answers:
+            check_id(answer.author, "answer author")
         with perf.timer("state.append"):
             encoded = self.topics.encode_uncached(thread.posts)
             self._last_created = thread.created_at
